@@ -1025,15 +1025,6 @@ def _execute_task_bus(
         writer.close()
 
 
-def _engine_worker_init(blas_threads: int | None) -> None:
-    """Per-worker initializer of the persistent pool: pin BLAS pools
-    once at spawn so K workers x 1 BLAS thread never oversubscribe."""
-    if blas_threads is not None:
-        from repro.parallel.pinning import limit_blas_threads
-
-        limit_blas_threads(blas_threads)
-
-
 def _shutdown_pool_holder(holder: dict) -> None:
     """Weakref finalizer target — must not reference the engine."""
     pool = holder.pop("pool", None)
@@ -1105,7 +1096,6 @@ class ExperimentEngine:
         timeout_multiple: float = 8.0,
         failure_mode: str = "strict",
         chaos=None,
-        blas_threads: int | None = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1133,9 +1123,6 @@ class ExperimentEngine:
         self.timeout_multiple = timeout_multiple
         self.failure_mode = failure_mode
         self.chaos = chaos
-        #: BLAS thread cap applied in each pool worker's initializer
-        #: (None = leave the worker's BLAS pools alone)
-        self.blas_threads = blas_threads
         # Persistent worker pool: created on first pooled run, reused
         # across rounds and run() calls (amortizing interpreter spawn),
         # discarded+rebuilt only after a crash/reap broke it.  The
@@ -1603,16 +1590,14 @@ class ExperimentEngine:
         """The live worker pool, spawning it on first use.
 
         Workers are sized to ``jobs`` (not the current batch) because
-        they outlive any one round; each runs :func:`_engine_worker_init`
-        once to pin its BLAS thread pools.
+        they outlive any one round.  They inherit the parent's BLAS
+        budget — the 1-thread default ``import repro`` pins and exports
+        (:mod:`repro.parallel.pinning`), or the user's own setting — so
+        K workers never oversubscribe the machine.
         """
         pool = self._pool_holder.get("pool")
         if pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_engine_worker_init,
-                initargs=(self.blas_threads,),
-            )
+            pool = ProcessPoolExecutor(max_workers=self.jobs)
             self._pool_holder["pool"] = pool
         return pool
 

@@ -5,10 +5,10 @@ Three building blocks, each usable alone:
 * :mod:`repro.parallel.shm` — named shared-memory segments planned as
   64-byte-aligned float64 blocks, with owner/attacher lifecycle rules
   that keep ``/dev/shm`` clean across crashes and signals;
-* :mod:`repro.parallel.pinning` — best-effort BLAS thread limiting
-  (``threadpoolctl`` when available, ctypes OpenBLAS, environment
-  variables) so K worker processes x 1 BLAS thread never oversubscribe
-  the machine;
+* :mod:`repro.parallel.pinning` — BLAS thread limiting (ctypes on
+  numpy's OpenBLAS, ``threadpoolctl`` when available, environment
+  variables) and the 1-thread default ``import repro`` applies, so K
+  worker processes x 1 BLAS thread never oversubscribe the machine;
 * :mod:`repro.parallel.sharding` — :class:`ShardedPopulation`, the
   process-sharded population stepper: K long-lived workers each drive a
   contiguous shard of members over shared-memory parameter blocks and
@@ -16,20 +16,30 @@ Three building blocks, each usable alone:
   the single-process lockstep.
 """
 
+from importlib import import_module
+
 from repro.parallel.pinning import (
     blas_env,
     effective_blas_threads,
     limit_blas_threads,
     shard_plan,
 )
-from repro.parallel.shm import (
-    ArenaPlan,
-    BlockSpec,
-    ShmArena,
-    active_segments,
-    plan_blocks,
-)
-from repro.parallel.sharding import ShardCrash, ShardedPopulation, ShardStats
+
+# ``import repro`` imports this package for its BLAS pin; the shared-
+# memory and sharding modules (and multiprocessing) load on first use.
+_LAZY = {
+    **dict.fromkeys(("ArenaPlan", "BlockSpec", "ShmArena",
+                     "active_segments", "plan_blocks"), "repro.parallel.shm"),
+    **dict.fromkeys(("ShardCrash", "ShardedPopulation", "ShardStats"),
+                    "repro.parallel.sharding"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ArenaPlan",

@@ -1,23 +1,29 @@
-"""Best-effort BLAS thread pinning for sharded workers.
+"""BLAS thread pinning: the process-wide 1-thread default and its probe.
 
-K shard processes each running multi-threaded BLAS oversubscribe the
-machine into a slowdown, so every worker pins its BLAS pools to a
-budget (usually 1).  Three mechanisms, tried in order of reliability:
+This repo's matrices are small (64-wide MLPs, batch 128), where a
+multi-threaded BLAS spends more on waking threads than it saves, and
+K worker processes x T BLAS threads oversubscribe the machine.  So
+``import repro`` pins the loaded BLAS to one thread
+(:func:`pin_default_blas_threads`) unless the user set one of
+:data:`USER_OVERRIDE_VARS`.  Mechanisms, tried in order:
 
-1. ``threadpoolctl`` — talks to every loaded pool, works after import;
-2. ctypes ``openblas_set_num_threads`` on the already-loaded OpenBLAS;
+1. ctypes on the OpenBLAS numpy loaded — found under ``numpy.libs``
+   (wheels; the ``scipy_openblas`` builds name their setter
+   ``scipy_openblas_set_num_threads64_``) or in the global namespace;
+2. ``threadpoolctl`` when installed — talks to every loaded pool;
 3. environment variables — only effective for libraries loaded *after*
-   the variables are set, which is exactly the situation in a freshly
-   spawned worker before it imports numpy's BLAS.
+   they are set, e.g. in a freshly spawned worker; they are always
+   exported so spawned and forked workers inherit the budget.
 
-All three are best-effort: correctness never depends on pinning, only
-throughput does, and the bench schema records what actually took effect
-(:func:`effective_blas_threads`) so cross-host numbers stay honest.
+Correctness never depends on pinning, only throughput does, and
+:func:`effective_blas_threads` asks the library what actually took
+effect so benchmark records stay honest.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import os
 
 _BLAS_ENV_VARS = (
@@ -28,6 +34,45 @@ _BLAS_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+#: a user who set any of these chose a BLAS budget; the default keeps out
+USER_OVERRIDE_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                      "MKL_NUM_THREADS")
+
+
+def _openblas_function(verb: str):
+    """The loaded OpenBLAS's ``set``/``get`` thread function, or None.
+
+    Tries every spelling in the wild: plain and ``scipy_`` prefixed,
+    each with and without the ILP64 ``64_`` suffix.
+    """
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs", "*openblas*")
+    handles = []
+    for path in sorted(glob.glob(libs)):
+        try:
+            handles.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    try:
+        handles.append(ctypes.CDLL(None))
+    except OSError:  # pragma: no cover - no dlopen(NULL) support
+        pass
+    symbols = [f"{prefix}openblas_{verb}_num_threads{suffix}"
+               for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    for lib in handles:
+        for symbol in symbols:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                # void set(int) / int get(void) in every spelling
+                if verb == "set":
+                    fn.argtypes, fn.restype = [ctypes.c_int], None
+                else:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
+
 
 def blas_env(threads: int) -> dict[str, str]:
     """Environment variables that cap BLAS pools at ``threads``."""
@@ -36,9 +81,17 @@ def blas_env(threads: int) -> dict[str, str]:
 
 
 def limit_blas_threads(threads: int) -> str:
-    """Pin loaded BLAS pools to ``threads``; returns the mechanism used."""
+    """Pin loaded BLAS pools to ``threads``; returns the mechanism used.
+
+    The environment variables are exported first, so a BLAS that loads
+    later (including numpy's own, if not yet imported) starts pinned.
+    """
     threads = max(1, int(threads))
     os.environ.update(blas_env(threads))
+    setter = _openblas_function("set")
+    if setter is not None:
+        setter(threads)
+        return "openblas"
     try:
         import threadpoolctl
 
@@ -48,21 +101,31 @@ def limit_blas_threads(threads: int) -> str:
         pass
     except Exception:  # pragma: no cover - exotic pool states
         pass
-    try:
-        lib = ctypes.CDLL(None)
-        for symbol in ("openblas_set_num_threads",
-                       "openblas_set_num_threads64_"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn(threads)
-                return "openblas"
-    except OSError:  # pragma: no cover - no dlopen(NULL) support
-        pass
     return "env"
 
 
+def pin_default_blas_threads() -> str | None:
+    """The import-time default: one BLAS thread, unless the user chose.
+
+    Returns the mechanism used, or ``None`` when one of
+    :data:`USER_OVERRIDE_VARS` is set (the user's value then stands).
+    """
+    if any(os.environ.get(var) for var in USER_OVERRIDE_VARS):
+        return None
+    return limit_blas_threads(1)
+
+
 def effective_blas_threads() -> int:
-    """The BLAS thread count actually in effect, best available probe."""
+    """The BLAS thread count actually in effect.
+
+    Asks the loaded library first; environment variables are read only
+    when no library answers.
+    """
+    getter = _openblas_function("get")
+    if getter is not None:
+        n = int(getter())
+        if n > 0:
+            return n
     try:
         import threadpoolctl
 
@@ -73,15 +136,6 @@ def effective_blas_threads() -> int:
     except ImportError:
         pass
     except Exception:  # pragma: no cover
-        pass
-    try:
-        lib = ctypes.CDLL(None)
-        fn = getattr(lib, "openblas_get_num_threads", None)
-        if fn is not None:
-            n = int(fn())
-            if n > 0:
-                return n
-    except OSError:  # pragma: no cover
         pass
     for var in _BLAS_ENV_VARS:
         raw = os.environ.get(var)

@@ -69,13 +69,10 @@ class PrioritizedReplayBuffer:
         # Stratified sampling over the priority mass.
         bounds = np.linspace(0.0, total, batch_size + 1)
         targets = self._rng.uniform(bounds[:-1], bounds[1:])
-        indices = np.array(
-            [self._tree.find_prefix(v) for v in targets], dtype=np.intp
-        )
-        indices = np.minimum(indices, n - 1)
+        indices = np.minimum(self._tree.find_prefix_batch(targets), n - 1)
 
         # Importance-sampling weights, normalized by the max weight.
-        probs = np.array([self._tree[i] for i in indices]) / max(total, 1e-12)
+        probs = self._tree.leaves[indices] / max(total, 1e-12)
         probs = np.maximum(probs, 1e-12)
         weights = (n * probs) ** (-self.beta_is)
         weights /= weights.max()
@@ -99,8 +96,11 @@ class PrioritizedReplayBuffer:
         idx = np.asarray(indices, dtype=np.intp).ravel()
         if td.shape != idx.shape:
             raise ValueError("indices and td_errors must align")
-        for i, e in zip(idx, td):
-            self._tree.update(int(i), float((e + self.epsilon) ** self.alpha))
+        # Scalar pow over Python floats on purpose: numpy's vectorized
+        # ``**`` rounds differently in a few percent of values.
+        alpha = self.alpha
+        prios = [x ** alpha for x in (td + self.epsilon).tolist()]
+        self._tree.update_batch(idx, prios)
 
     def can_sample(self, batch_size: int) -> bool:
         return len(self) >= batch_size

@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Two golden artifacts live here:
+Three golden artifacts live here:
 
 * ``sim_defaults.json`` — the *noise-free* default-configuration
   execution time of every paper workload at dataset D1 on both
@@ -14,10 +14,15 @@ Two golden artifacts live here:
   actor/critic math, Twin-Q screening, RNG stream plan, and simulator
   stack end to end; because the population is bit-identical to
   sequential serving, the same trace also pins ``OnlineTuner.tune``.
+* ``cdbtune_trace.json`` — a seeded CDBTune offline-training run: its
+  critic losses plus a SHA-256 of the PER sum-tree's bytes.  Pins the
+  TD-error prioritized replay (sampling descent, IS weights, priority
+  repair) together with the DDPG update it feeds.
 
-Any edit that moves either file must (a) be intentional, (b) regenerate
-this file, and (c) bump ``repro.experiments.engine.CACHE_VERSION`` so
-stale on-disk task results are invalidated alongside.
+Any edit that moves one of these files must (a) be intentional, (b)
+regenerate it with this script, and (c) bump
+``repro.experiments.engine.CACHE_VERSION`` so stale on-disk task
+results are invalidated alongside.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).parent / "sim_defaults.json"
 POPULATION_TRACE_PATH = Path(__file__).parent / "population_trace.json"
+CDBTUNE_TRACE_PATH = Path(__file__).parent / "cdbtune_trace.json"
 
 WORKLOADS = ("WC", "TS", "PR", "KM")
 CLUSTERS = ("cluster-a", "cluster-b")
@@ -35,6 +41,9 @@ DATASET = "D1"
 TRACE_BASE_SEED = 7
 TRACE_MEMBERS = 3
 TRACE_STEPS = 3
+
+CDBTUNE_SEED = 3
+CDBTUNE_ITERATIONS = 200
 
 
 def compute() -> dict[str, float]:
@@ -87,6 +96,27 @@ def compute_population_trace() -> list[list[dict]]:
     ]
 
 
+def compute_cdbtune_trace() -> dict:
+    """One seeded CDBTune offline run: critic losses + sum-tree digest.
+
+    The default 20,000-leaf buffer is not a power of two, so its leaves
+    sit at two tree depths; the digest covers every node's bytes.
+    """
+    import hashlib
+
+    from repro.baselines.cdbtune import CDBTune
+    from repro.factory import make_env
+
+    env = make_env("TS", DATASET, seed=1000 + CDBTUNE_SEED)
+    tuner = CDBTune.from_env(env, seed=CDBTUNE_SEED)
+    log = tuner.train_offline(env, iterations=CDBTUNE_ITERATIONS)
+    tree = tuner.buffer._tree._tree
+    return {
+        "critic_losses": [float(v) for v in log.critic_losses],
+        "sumtree_sha256": hashlib.sha256(tree.tobytes()).hexdigest(),
+    }
+
+
 def main() -> None:
     values = compute()
     GOLDEN_PATH.write_text(json.dumps(values, indent=2, sort_keys=True)
@@ -103,6 +133,14 @@ def main() -> None:
     for i, steps in enumerate(trace):
         line = ", ".join(f"{s['duration_s']:.1f}s" for s in steps)
         print(f"  member {i}: {line}")
+
+    cdbtune = compute_cdbtune_trace()
+    CDBTUNE_TRACE_PATH.write_text(
+        json.dumps(cdbtune, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {CDBTUNE_TRACE_PATH}: "
+          f"{len(cdbtune['critic_losses'])} critic losses, "
+          f"sum-tree {cdbtune['sumtree_sha256'][:16]}")
 
 
 if __name__ == "__main__":

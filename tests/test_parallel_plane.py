@@ -8,6 +8,11 @@ crash handling) lives in ``test_sharded_population.py``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +25,7 @@ from repro.parallel import (
     plan_blocks,
     shard_plan,
 )
-from repro.parallel.pinning import _BLAS_ENV_VARS
+from repro.parallel.pinning import _BLAS_ENV_VARS, _openblas_function
 
 
 class TestShardPlan:
@@ -144,11 +149,22 @@ class TestPinning:
     def test_limit_reports_mechanism(self, monkeypatch):
         for var in _BLAS_ENV_VARS:
             monkeypatch.delenv(var, raising=False)
-        how = limit_blas_threads(1)
-        assert how in ("threadpoolctl", "openblas", "env")
-        import os
-
-        assert all(os.environ[v] == "1" for v in _BLAS_ENV_VARS)
+        before = effective_blas_threads()
+        getter = _openblas_function("get")
+        try:
+            how = limit_blas_threads(1)
+            assert all(os.environ[v] == "1" for v in _BLAS_ENV_VARS)
+            if getter is None:
+                assert how in ("threadpoolctl", "env")
+                return
+            # numpy's own OpenBLAS is reachable: it is pinned directly
+            # and the probe reads the budget back from the library.
+            assert how == "openblas"
+            assert getter() == 1 and effective_blas_threads() == 1
+            assert limit_blas_threads(2) == "openblas"
+            assert getter() == 2 and effective_blas_threads() == 2
+        finally:
+            limit_blas_threads(before)
 
     def test_effective_threads_positive(self):
         threads = effective_blas_threads()
@@ -158,3 +174,55 @@ class TestPinning:
     def test_non_positive_budget_clamps_to_one(self):
         assert blas_env(0)["OMP_NUM_THREADS"] == "1"
         assert limit_blas_threads(0) in ("threadpoolctl", "openblas", "env")
+
+
+# Reads numpy's OpenBLAS thread count without importing repro, so a child
+# of a process that imported it shows what the exported variables alone
+# give a freshly started worker.
+_PROBE = """
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                    "numpy.libs", "*openblas*")
+names = [p + "get_num_threads" + s for p in ("openblas_", "scipy_openblas_")
+         for s in ("", "64_")]
+handles = [ctypes.CDLL(path) for path in glob.glob(libs)]
+fns = [getattr(lib, n, None) for lib in handles + [ctypes.CDLL(None)]
+       for n in names]
+print(next((fn() for fn in fns if fn is not None), -1))
+"""
+
+_IMPORT_AND_PROBE = """
+import subprocess, sys
+import repro
+from repro.parallel.pinning import _openblas_function
+getter = _openblas_function("get")
+child = subprocess.run([sys.executable, "-c", sys.argv[1]],
+                       capture_output=True, text=True, check=True)
+print(getter() if getter else -1, child.stdout.strip())
+"""
+
+
+def _threads_after_import(**preset: str) -> tuple[int, int]:
+    """(threads in a process that imported repro, in its child)."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_ENV_VARS}
+    env.update(preset)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_AND_PROBE, _PROBE], env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    if int(out[0]) < 0:
+        pytest.skip("numpy's BLAS is not a reachable OpenBLAS")
+    return int(out[0]), int(out[1])
+
+
+class TestDefaultPin:
+    def test_import_pins_one_thread_and_workers_inherit(self):
+        assert _threads_after_import() == (1, 1)
+
+    def test_user_setting_wins(self):
+        # OpenBLAS caps its env budget at the CPUs it may run on.
+        expected = min(2, len(os.sched_getaffinity(0)))
+        assert _threads_after_import(OPENBLAS_NUM_THREADS="2") == (
+            expected, expected)

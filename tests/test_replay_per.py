@@ -87,3 +87,53 @@ class TestPrioritizedReplayBuffer:
         assert buf._tree.total > 0.0
         batch = buf.sample(2)
         assert len(batch) == 2
+
+
+def _pow_disagreements(alpha, eps, n=4000):
+    """TD errors where numpy's vectorized ``**`` and scalar pow differ."""
+    td = np.random.default_rng(7).uniform(0.0, 5.0, n)
+    base = td + eps
+    vector = base ** alpha
+    scalar = np.array([x ** alpha for x in base.tolist()])
+    return td[vector != scalar]
+
+
+class TestUpdatePrioritiesExactness:
+    def test_matches_scalar_pow_loop_bytes(self):
+        eps, alpha = 1e-3, 0.6
+        rng = np.random.default_rng(3)
+        hard = _pow_disagreements(alpha, eps)[:40]
+        td = np.concatenate([hard, rng.normal(0.0, 2.0, 88 - hard.size),
+                             [0.0, -0.0, 1e-12]])
+        idx = rng.integers(0, 50, td.size)
+        batched = PrioritizedReplayBuffer(
+            50, 3, 2, np.random.default_rng(0), alpha=alpha, epsilon=eps)
+        scalar = PrioritizedReplayBuffer(
+            50, 3, 2, np.random.default_rng(0), alpha=alpha, epsilon=eps)
+        for i in range(50):
+            batched.push(make_transition(i))
+            scalar.push(make_transition(i))
+        batched.update_priorities(idx, td)
+        for i, e in zip(idx.tolist(), np.abs(td).tolist()):
+            scalar._tree.update(i, (e + eps) ** alpha)
+        assert batched._tree._tree.tobytes() == scalar._tree._tree.tobytes()
+        # and the two buffers go on sampling the same batches
+        a, b = batched.sample(16), scalar.sample(16)
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.weights.tobytes() == b.weights.tobytes()
+
+    def test_vectorized_pow_would_differ(self):
+        # Documents why priorities use scalar pow: on hosts whose numpy
+        # vectorizes ``**``, some priorities would change otherwise.
+        hard = _pow_disagreements(0.6, 1e-3)
+        if hard.size == 0:
+            pytest.skip("numpy's ** equals scalar pow on this host")
+        buf = PrioritizedReplayBuffer(
+            hard.size, 3, 2, np.random.default_rng(0))
+        for i in range(hard.size):
+            buf.push(make_transition(i))
+        buf.update_priorities(np.arange(hard.size), hard)
+        leaves = buf._tree.leaves[: hard.size]
+        assert np.array_equal(
+            leaves, [(x + 1e-3) ** 0.6 for x in hard.tolist()])
+        assert not np.array_equal(leaves, (hard + 1e-3) ** 0.6)
