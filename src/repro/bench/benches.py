@@ -420,7 +420,7 @@ def _bench_pipeline_population():
     def run() -> None:
         tuners, envs = _population_members()
         if shards > 1:
-            from repro.parallel import ShardedPopulation
+            from repro.parallel.sharding import ShardedPopulation
 
             population = ShardedPopulation(
                 tuners, envs, shards=shards, fine_tune_updates=0

@@ -739,7 +739,7 @@ def _tune_population(args) -> int:
     with _sigterm_as_interrupt(), _profiled(ctx, args):
         try:
             if shards > 1:
-                from repro.parallel import ShardCrash, ShardedPopulation
+                from repro.parallel.sharding import ShardCrash, ShardedPopulation
 
                 population = ShardedPopulation(
                     tuners, envs, shards=shards, telemetry=ctx,

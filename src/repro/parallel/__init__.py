@@ -16,8 +16,6 @@ Three building blocks, each usable alone:
   the single-process lockstep.
 """
 
-from importlib import import_module
-
 from repro.parallel.pinning import (
     blas_env,
     effective_blas_threads,
@@ -25,33 +23,13 @@ from repro.parallel.pinning import (
     shard_plan,
 )
 
-# ``import repro`` imports this package for its BLAS pin; the shared-
-# memory and sharding modules (and multiprocessing) load on first use.
-_LAZY = {
-    **dict.fromkeys(("ArenaPlan", "BlockSpec", "ShmArena",
-                     "active_segments", "plan_blocks"), "repro.parallel.shm"),
-    **dict.fromkeys(("ShardCrash", "ShardedPopulation", "ShardStats"),
-                    "repro.parallel.sharding"),
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(import_module(_LAZY[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
+# ``import repro`` imports this package for its BLAS pin, so the shared-
+# memory and sharding modules (and multiprocessing) are not re-exported
+# here: import them from ``repro.parallel.shm`` and
+# ``repro.parallel.sharding``.
 __all__ = [
-    "ArenaPlan",
-    "BlockSpec",
-    "ShardCrash",
-    "ShardStats",
-    "ShardedPopulation",
-    "ShmArena",
-    "active_segments",
     "blas_env",
     "effective_blas_threads",
     "limit_blas_threads",
-    "plan_blocks",
     "shard_plan",
 ]

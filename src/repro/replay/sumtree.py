@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SumTree", "BATCH_MIN"]
-
-#: batches shorter than this update leaf by leaf: the vectorized repair
-#: has a fixed cost of a few dozen scalar updates
-BATCH_MIN = 16
+__all__ = ["SumTree"]
 
 
 class SumTree:
@@ -58,8 +54,8 @@ class SumTree:
         (leaves of a capacity that is not a power of two sit at two
         depths, so climbing every leaf the same number of steps would
         mix depths in one call and reorder the float additions).  All
-        pairs are validated before anything is written; batches shorter
-        than :data:`BATCH_MIN` take the cheaper scalar path.
+        pairs are validated before anything is written.  Single-leaf
+        writes (``push``) should call :meth:`update`, which is cheaper.
         """
         idx = np.asarray(indices, dtype=np.intp).ravel()
         prio = np.asarray(priorities, dtype=np.float64).ravel()
@@ -68,9 +64,7 @@ class SumTree:
         bad = np.flatnonzero((idx < 0) | (idx >= self.capacity) | (prio < 0))
         if bad.size:
             self.update(int(idx[bad[0]]), float(prio[bad[0]]))  # raises
-        if idx.size < BATCH_MIN:
-            for i, p in zip(idx.tolist(), prio.tolist()):
-                self.update(i, p)
+        if idx.size == 0:
             return
         tree = self._tree
         node = idx + (self.capacity - 1)

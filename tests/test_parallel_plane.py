@@ -17,15 +17,13 @@ import numpy as np
 import pytest
 
 from repro.parallel import (
-    ShmArena,
-    active_segments,
     blas_env,
     effective_blas_threads,
     limit_blas_threads,
-    plan_blocks,
     shard_plan,
 )
 from repro.parallel.pinning import _BLAS_ENV_VARS, _openblas_function
+from repro.parallel.shm import ShmArena, active_segments, plan_blocks
 
 
 class TestShardPlan:

@@ -121,19 +121,3 @@ class TestUpdatePrioritiesExactness:
         a, b = batched.sample(16), scalar.sample(16)
         assert a.indices.tolist() == b.indices.tolist()
         assert a.weights.tobytes() == b.weights.tobytes()
-
-    def test_vectorized_pow_would_differ(self):
-        # Documents why priorities use scalar pow: on hosts whose numpy
-        # vectorizes ``**``, some priorities would change otherwise.
-        hard = _pow_disagreements(0.6, 1e-3)
-        if hard.size == 0:
-            pytest.skip("numpy's ** equals scalar pow on this host")
-        buf = PrioritizedReplayBuffer(
-            hard.size, 3, 2, np.random.default_rng(0))
-        for i in range(hard.size):
-            buf.push(make_transition(i))
-        buf.update_priorities(np.arange(hard.size), hard)
-        leaves = buf._tree.leaves[: hard.size]
-        assert np.array_equal(
-            leaves, [(x + 1e-3) ** 0.6 for x in hard.tolist()])
-        assert not np.array_equal(leaves, (hard + 1e-3) ** 0.6)

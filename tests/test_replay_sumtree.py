@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.replay.sumtree import BATCH_MIN, SumTree
+from repro.replay.sumtree import SumTree
 
 
 class TestSumTree:
@@ -139,7 +139,7 @@ PRIORITY = st.one_of(
 
 
 @st.composite
-def tree_and_batch(draw, min_batch=0):
+def tree_and_batch(draw):
     """A populated tree plus a batch of updates that repeats leaves."""
     cap = draw(CAPACITIES)
     leaf = st.integers(0, cap - 1)
@@ -147,7 +147,7 @@ def tree_and_batch(draw, min_batch=0):
     # draw the batch's leaves from a small pool so repeats are common
     pool = draw(st.lists(leaf, min_size=1, max_size=6))
     batch = draw(st.lists(st.tuples(st.sampled_from(pool), PRIORITY),
-                          min_size=min_batch, max_size=80))
+                          max_size=80))
     return cap, fill, batch
 
 
@@ -169,18 +169,6 @@ class TestBatchedEqualsScalar:
         prio = [p for _, p in batch]
         reference_update_batch(scalar, idx, prio)
         batched.update_batch(np.array(idx, dtype=np.intp), prio)
-        assert batched._tree.tobytes() == scalar._tree.tobytes()
-
-    @given(tree_and_batch(min_batch=BATCH_MIN))
-    @settings(max_examples=100, deadline=None)
-    def test_vectorized_path_bytes(self, case):
-        # min_batch forces the vectorized repair, not the scalar loop
-        cap, fill, batch = case
-        scalar, batched = _twins(cap, fill)
-        idx = [i for i, _ in batch]
-        prio = [p for _, p in batch]
-        reference_update_batch(scalar, idx, prio)
-        batched.update_batch(idx, prio)
         assert batched._tree.tobytes() == scalar._tree.tobytes()
 
     @given(tree_and_batch(), st.lists(st.floats(0.0, 1.0), max_size=40))
@@ -219,14 +207,13 @@ class TestBatchedEqualsScalar:
 
     def test_last_write_wins_on_repeats(self):
         t = SumTree(5)
-        t.update_batch([3] * BATCH_MIN + [1], [float(k) for k in
-                                              range(BATCH_MIN)] + [2.0])
-        assert t[3] == BATCH_MIN - 1 and t[1] == 2.0
-        assert t.total == BATCH_MIN + 1.0
+        t.update_batch([3] * 20 + [1], [float(k) for k in range(20)] + [2.0])
+        assert t[3] == 19.0 and t[1] == 2.0
+        assert t.total == 21.0
 
 
 class TestBatchErrors:
-    @pytest.mark.parametrize("n", [1, BATCH_MIN + 3])
+    @pytest.mark.parametrize("n", [1, 19])
     def test_bad_leaf_raises_and_writes_nothing(self, n):
         t = SumTree(7)
         t.update(2, 1.5)
@@ -237,7 +224,7 @@ class TestBatchErrors:
                 t.update_batch(idx, [1.0] * n)
         assert t._tree.tobytes() == before
 
-    @pytest.mark.parametrize("n", [1, BATCH_MIN + 3])
+    @pytest.mark.parametrize("n", [1, 19])
     def test_negative_priority_raises_and_writes_nothing(self, n):
         t = SumTree(7)
         before = t._tree.tobytes()

@@ -29,8 +29,8 @@ from repro.core.persistence import (
 )
 from repro.core.population import population_seed_plan
 from repro.core.result import sessions_equal
-from repro.parallel import ShardCrash, ShardedPopulation, active_segments
-from repro.parallel.sharding import ShardedPopulation as _SP
+from repro.parallel.sharding import ShardCrash, ShardedPopulation
+from repro.parallel.shm import active_segments
 
 N = 4
 SEED = 42
@@ -119,7 +119,7 @@ def test_sigterm_then_resume_at_any_shard_count(
     full = load_population_checkpoint(full_ckpt)
 
     calls = {"n": 0}
-    original = _SP._emit_round
+    original = ShardedPopulation._emit_round
 
     def dying_emit(self, step, replies, round_wall):
         calls["n"] += 1
@@ -127,10 +127,10 @@ def test_sigterm_then_resume_at_any_shard_count(
             os.kill(os.getpid(), signal.SIGTERM)
         return original(self, step, replies, round_wall)
 
-    monkeypatch.setattr(_SP, "_emit_round", dying_emit)
+    monkeypatch.setattr(ShardedPopulation, "_emit_round", dying_emit)
     ckpt = str(tmp_path / "killed.ckpt")
     rc = _tune(model, ckpt, shards=2, steps=4)
-    monkeypatch.setattr(_SP, "_emit_round", original)
+    monkeypatch.setattr(ShardedPopulation, "_emit_round", original)
     assert rc == 130
     assert "checkpointed" in capsys.readouterr().out
     assert active_segments() == [], "interrupted run leaked /dev/shm"
@@ -173,7 +173,7 @@ def test_worker_sigkill_raises_shard_crash(monkeypatch):
     """A SIGKILLed worker must surface as ShardCrash on the next round,
     and the teardown still unlinks every segment."""
     calls = {"n": 0}
-    original = _SP._emit_round
+    original = ShardedPopulation._emit_round
 
     def killing_emit(self, step, replies, round_wall):
         calls["n"] += 1
@@ -182,7 +182,7 @@ def test_worker_sigkill_raises_shard_crash(monkeypatch):
             self._shards[0].process.join(timeout=10.0)
         return original(self, step, replies, round_wall)
 
-    monkeypatch.setattr(_SP, "_emit_round", killing_emit)
+    monkeypatch.setattr(ShardedPopulation, "_emit_round", killing_emit)
     tuners, envs = _members(2)
     population = ShardedPopulation(
         tuners, envs, shards=2, fine_tune_updates=1
