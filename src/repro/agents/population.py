@@ -6,9 +6,10 @@
 three deterministic queries the online tuning loop issues — greedy
 ``act``, single-pair ``min_q``, and candidate-fan ``twin_q`` — as one
 3-D tensor program each.  Everything stochastic (exploration noise,
-candidate draws, fine-tune updates) stays on the scalar agents, whose
-parameters are *views* into the stacked storage, so per-agent updates
-and batched queries always agree.
+candidate draws, fine-tune updates) stays on the scalar agents: each
+agent's actor and critics keep their flat parameter arenas as rows of
+the view's three ``(N, P)`` storages, so per-agent updates and batched
+queries always agree.
 
 Bit-identity per row is inherited from ``StackedSequential`` plus the
 facts that ``np.clip``/``np.minimum`` are elementwise and the critic
@@ -58,10 +59,9 @@ class PopulationTD3View:
         self.n = len(agents)
         self.state_dim = lead.state_dim
         self.action_dim = lead.action_dim
-        # Parameter blocks are allocated in this fixed order (actor,
-        # critic1, critic2; per Linear layer weight then bias) — the
-        # shared-memory arena plan in ``repro.parallel.sharding``
-        # depends on it.
+        # One (N, P) parameter block per network, allocated in this
+        # fixed order (actor, critic1, critic2) — the shared-memory
+        # arena plan in ``repro.parallel.sharding`` depends on it.
         self.actor = StackedSequential(
             [a.actor for a in agents], allocator=allocator
         )

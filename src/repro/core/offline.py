@@ -9,6 +9,7 @@ Figure 4 ablation).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +41,18 @@ class OfflineTrainingLog:
     @property
     def iterations(self) -> int:
         return len(self.rewards)
+
+    def __deepcopy__(self, memo) -> "OfflineTrainingLog":
+        # Floats are immutable: copying the lists shallowly is a deep
+        # copy of their contents, without a per-element memo walk.
+        return OfflineTrainingLog(
+            rewards=list(self.rewards),
+            min_q=list(self.min_q),
+            durations=list(self.durations),
+            critic_losses=list(self.critic_losses),
+            best_duration_s=self.best_duration_s,
+            best_action=copy.deepcopy(self.best_action, memo),
+        )
 
 
 class OfflineTrainer:

@@ -10,7 +10,7 @@ updates and exploration noise — using vectorized numpy only.
 from repro.nn.init import he_uniform, uniform_init, xavier_uniform
 from repro.nn.layers import Linear, ReLU, Sigmoid, Tanh
 from repro.nn.losses import mse_loss
-from repro.nn.network import MLP, Parameter, Sequential
+from repro.nn.network import MLP, Parameter, ParameterArena, Sequential
 from repro.nn.noise import GaussianNoise, OrnsteinUhlenbeckNoise
 from repro.nn.optim import SGD, Adam
 from repro.nn.target import hard_update, soft_update
@@ -25,6 +25,7 @@ __all__ = [
     "Sigmoid",
     "mse_loss",
     "Parameter",
+    "ParameterArena",
     "Sequential",
     "MLP",
     "GaussianNoise",

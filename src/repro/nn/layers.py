@@ -3,8 +3,9 @@
 Every layer implements:
 
 * ``forward(x, cache=True)`` — compute output; stash what backward needs.
-* ``backward(grad_out)`` — given dLoss/dOutput, accumulate parameter
-  gradients and return dLoss/dInput.
+* ``backward(grad_out, input_grad=True, param_grads=True)`` — given
+  dLoss/dOutput, accumulate parameter gradients and return dLoss/dInput;
+  a :class:`Linear` skips whichever of the two the caller turned off.
 * ``parameters()`` — trainable :class:`~repro.nn.network.Parameter` list.
 
 Shapes are always ``(batch, features)``; all math is vectorized over the
@@ -18,6 +19,10 @@ different destination).  Ownership rule: an array returned by
 ``forward``/``backward`` is valid until the *next* ``forward``/
 ``backward`` of the same layer with the same batch size — consume or
 copy it before then (every in-repo caller does).
+
+Every underscore attribute of a layer is such a cache or workspace.
+Pickles and deep copies leave them out and a copy starts with empty
+pools, so a fork or checkpoint carries the parameters only.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ import numpy as np
 
 from repro.nn.init import he_uniform, uniform_init, xavier_uniform
 
-__all__ = ["Layer", "Linear", "ReLU", "Tanh", "Sigmoid", "make_activation"]
+__all__ = [
+    "Layer", "Linear", "ReLU", "Tanh", "Sigmoid", "make_activation", "sigmoid",
+]
 
 
 def _workspace(
@@ -45,14 +52,32 @@ def _workspace(
 class Layer:
     """Base class; stateless layers only override forward/backward."""
 
+    def _reset_scratch(self) -> None:
+        """(Re)create the layer's caches and workspaces, all empty."""
+
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        input_grad: bool = True,
+        param_grads: bool = True,
+    ) -> np.ndarray | None:
         raise NotImplementedError
 
     def parameters(self) -> list:
         return []
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items()
+                if not k.startswith("_")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(
+            (k, v) for k, v in state.items() if not k.startswith("_")
+        )
+        self._reset_scratch()
 
 
 class Linear(Layer):
@@ -81,6 +106,9 @@ class Linear(Layer):
             raise ValueError(f"unknown init {init!r}")
         self.weight = Parameter(w, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(out_dim), name=f"{name}.bias")
+        self._reset_scratch()
+
+    def _reset_scratch(self) -> None:
         self._x: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}
         self._fwd_nc: dict[int, np.ndarray] = {}
@@ -101,19 +129,27 @@ class Linear(Layer):
         out += self.bias.data
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        input_grad: bool = True,
+        param_grads: bool = True,
+    ) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before a cached forward")
-        if self._grad_w is None:
-            self._grad_w = np.empty_like(self.weight.data)
-            self._grad_b = np.empty_like(self.bias.data)
-        np.matmul(self._x.T, grad_out, out=self._grad_w)
-        self.weight.grad += self._grad_w
-        # np.add.reduce is np.sum's kernel without the dispatch wrapper —
-        # same pairwise summation, so bit-identical, measurably cheaper
-        # at this call frequency.
-        np.add.reduce(grad_out, axis=0, out=self._grad_b)
-        self.bias.grad += self._grad_b
+        if param_grads:
+            if self._grad_w is None:
+                self._grad_w = np.empty_like(self.weight.data)
+                self._grad_b = np.empty_like(self.bias.data)
+            np.matmul(self._x.T, grad_out, out=self._grad_w)
+            self.weight.grad += self._grad_w
+            # np.add.reduce is np.sum's kernel without the dispatch
+            # wrapper — same pairwise summation, so bit-identical,
+            # measurably cheaper at this call frequency.
+            np.add.reduce(grad_out, axis=0, out=self._grad_b)
+            self.bias.grad += self._grad_b
+        if not input_grad:
+            return None
         grad_in = _workspace(
             self._bwd, grad_out.shape[0], self.weight.data.shape[0]
         )
@@ -126,6 +162,9 @@ class Linear(Layer):
 
 class ReLU(Layer):
     def __init__(self):
+        self._reset_scratch()
+
+    def _reset_scratch(self) -> None:
         self._mask: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}
         self._fwd_nc: dict[int, np.ndarray] = {}
@@ -142,7 +181,7 @@ class ReLU(Layer):
             self._mask = mask
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out, input_grad=True, param_grads=True):
         if self._mask is None:
             raise RuntimeError("backward called before a cached forward")
         grad_in = _workspace(
@@ -154,6 +193,9 @@ class ReLU(Layer):
 
 class Tanh(Layer):
     def __init__(self):
+        self._reset_scratch()
+
+    def _reset_scratch(self) -> None:
         self._out: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}
         self._fwd_nc: dict[int, np.ndarray] = {}
@@ -167,7 +209,7 @@ class Tanh(Layer):
             self._out = out
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out, input_grad=True, param_grads=True):
         if self._out is None:
             raise RuntimeError("backward called before a cached forward")
         grad_in = _workspace(
@@ -180,34 +222,59 @@ class Tanh(Layer):
         return grad_in
 
 
+def sigmoid(
+    x: np.ndarray, out: np.ndarray, den: np.ndarray, nonneg: np.ndarray
+) -> np.ndarray:
+    """Logistic function into ``out``, using ``den``/``nonneg`` as scratch.
+
+    With ``z = exp(-|x|)`` this is ``1 / (1 + z)`` where ``x >= 0`` and
+    ``z / (1 + z)`` elsewhere — the two numerically stable branches,
+    sharing one ``exp`` that never overflows.  Each branch computes
+    exactly what the gather-per-sign form did, so the output is
+    bit-identical to it for every non-NaN input.
+    """
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=den)
+    np.greater_equal(x, 0.0, out=nonneg)
+    np.copyto(out, 1.0, where=nonneg)
+    np.divide(out, den, out=out)
+    return out
+
+
 class Sigmoid(Layer):
     def __init__(self):
+        self._reset_scratch()
+
+    def _reset_scratch(self) -> None:
         self._out: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}
         self._fwd_nc: dict[int, np.ndarray] = {}
+        self._den: dict[int, np.ndarray] = {}
+        self._nonneg: dict[int, np.ndarray] = {}
         self._bwd: dict[int, np.ndarray] = {}
-        self._bwd2: dict[int, np.ndarray] = {}
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        # Numerically stable split on sign.
-        out = _workspace(self._fwd if cache else self._fwd_nc,
-                         x.shape[0], x.shape[1])
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        rows, cols = x.shape
+        out = sigmoid(
+            x,
+            _workspace(self._fwd if cache else self._fwd_nc, rows, cols),
+            _workspace(self._den, rows, cols),
+            _workspace(self._nonneg, rows, cols, dtype=bool),
+        )
         if cache:
             self._out = out
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out, input_grad=True, param_grads=True):
         if self._out is None:
             raise RuntimeError("backward called before a cached forward")
         grad_in = _workspace(
             self._bwd, grad_out.shape[0], grad_out.shape[1]
         )
         scratch = _workspace(
-            self._bwd2, grad_out.shape[0], grad_out.shape[1]
+            self._den, grad_out.shape[0], grad_out.shape[1]
         )
         # (grad_out * out) * (1 - out), the scalar path's op order
         np.multiply(grad_out, self._out, out=grad_in)

@@ -1,88 +1,75 @@
 """Stacked forward passes over N same-architecture networks.
 
-:class:`StackedSequential` adopts the parameters of N
-:class:`~repro.nn.network.Sequential` instances into one contiguous
-``(N, in, out)`` tensor per Linear layer and rebinds each network's
-:class:`~repro.nn.network.Parameter.data` as a row view into it.  A
-single 3-D ``np.matmul`` then runs all N networks' forwards at once.
+:class:`StackedSequential` adopts each of N
+:class:`~repro.nn.network.Sequential` instances whole: network ``i``'s
+flat parameter arena becomes row ``i`` of one ``(N, P)`` storage, and
+every Parameter's ``data`` is rebound as a view into that row
+(:meth:`~repro.nn.network.ParameterArena.adopt`).  Per Linear layer the
+stacked weights are the ``(N, in, out)`` strided view of the layer's
+columns, so a single 3-D ``np.matmul`` runs all N networks' forwards at
+once.
 
 Two facts make this safe and bit-identical:
 
-* every in-repo parameter mutation is **in-place** (`Adam`'s
-  ``p.data -= a``, Polyak's ``tp.data *= ..; tp.data += ..``,
-  ``load_state_dict``/``copy_from``'s ``p.data[...] =``) — only
-  ``Parameter.__init__`` rebinds ``data`` — so scalar per-session
-  updates write straight through the views into the stacked storage
-  with no refresh step;
+* every in-repo parameter mutation is **in-place** — `Adam`'s and
+  Polyak's fused passes over ``flat``, ``load_state_dict``/
+  ``copy_from``'s slice assignments — and only arena binding rebinds
+  ``data``, so scalar per-session updates write straight through the
+  views into the stacked storage with no refresh step;
 * numpy evaluates a stacked ``(N, R, in) @ (N, in, out)`` matmul
-  slice-by-slice with the same kernel as the 2-D case, and the
-  elementwise activations (`maximum`, `tanh`, the sign-split sigmoid)
-  are value-wise functions — so row ``i`` of the stacked forward is
-  bit-identical to network ``i``'s own ``forward(x_i, cache=False)``.
+  slice-by-slice with the same kernel as the 2-D case (each weight
+  slice stays C-contiguous; only the outer stride is ``P``), and the
+  elementwise activations (`maximum`, `tanh`, the shared
+  :func:`~repro.nn.layers.sigmoid`) are value-wise functions — so row
+  ``i`` of the stacked forward is bit-identical to network ``i``'s own
+  ``forward(x_i, cache=False)``.
 
 Outputs use pooled per-row-count workspaces, mirroring the scalar
 layers' allocation policy; the same ownership rule applies (a returned
 array is valid until the next forward with the same row count).
 
-Pickling a view-backed parameter materializes a copy, so adoption does
+Pickling a network copies its row out of the storage, so adoption does
 not survive checkpoint round-trips — re-adopt after a restore (building
 a fresh :class:`StackedSequential` is exactly that and is idempotent).
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from repro.nn.layers import Linear, ReLU, Sigmoid, Tanh
+from repro.nn.layers import Linear, ReLU, Sigmoid, Tanh, sigmoid
 from repro.nn.network import Sequential
 
 __all__ = ["StackedSequential"]
 
 
 def _workspace3(
-    pool: dict[int, np.ndarray], n: int, rows: int, cols: int
+    pool: dict[int, np.ndarray], n: int, rows: int, cols: int, dtype=np.float64
 ) -> np.ndarray:
     """Fetch (or create) the pooled ``(n, rows, cols)`` buffer."""
     buf = pool.get(rows)
     if buf is None:
-        buf = pool[rows] = np.empty((n, rows, cols), dtype=np.float64)
+        buf = pool[rows] = np.empty((n, rows, cols), dtype=dtype)
     return buf
 
 
+def _columns(storage: np.ndarray, off: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The ``(N, *shape)`` view of ``storage[:, off:off + size]``."""
+    cols = storage[:, off:off + prod(shape)]
+    cols.shape = (storage.shape[0], *shape)  # raises rather than copy
+    return cols
+
+
 class _StackedLinear:
-    """N affine layers as one ``(N, in, out)`` weight tensor.
+    """N affine layers as ``(N, in, out)`` weight and ``(N, 1, out)``
+    bias views into the population's parameter storage."""
 
-    Adopts the scalar layers' parameters: after construction each
-    ``layers[i].weight.data`` is the contiguous view ``w[i]`` and
-    ``layers[i].bias.data`` is ``b[i, 0]``, so in-place scalar updates
-    and the stacked forward always see the same storage.
-    """
-
-    def __init__(self, layers: Sequence[Linear], allocator=None):
-        shape = layers[0].weight.data.shape
-        for lay in layers:
-            if lay.weight.data.shape != shape:
-                raise ValueError(
-                    f"layer shape mismatch: {lay.weight.data.shape} "
-                    f"!= {shape}"
-                )
-        n = len(layers)
-        alloc = np.empty if allocator is None else allocator
-        self.w = alloc((n, *shape), dtype=np.float64)
-        self.b = alloc((n, 1, shape[1]), dtype=np.float64)
-        for arr, want in ((self.w, (n, *shape)), (self.b, (n, 1, shape[1]))):
-            if arr.shape != want or arr.dtype != np.float64:
-                raise ValueError(
-                    f"allocator returned {arr.shape} {arr.dtype}, "
-                    f"wanted {want} float64"
-                )
-        for i, lay in enumerate(layers):
-            self.w[i] = lay.weight.data
-            self.b[i, 0] = lay.bias.data
-            lay.weight.data = self.w[i]
-            lay.bias.data = self.b[i, 0]
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w = w
+        self.b = b
         self._fwd: dict[int, np.ndarray] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -115,15 +102,17 @@ class _StackedTanh:
 class _StackedSigmoid:
     def __init__(self):
         self._fwd: dict[int, np.ndarray] = {}
+        self._den: dict[int, np.ndarray] = {}
+        self._nonneg: dict[int, np.ndarray] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Numerically stable split on sign, exactly as the scalar layer.
-        out = _workspace3(self._fwd, x.shape[0], x.shape[1], x.shape[2])
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        n, rows, cols = x.shape
+        return sigmoid(
+            x,
+            _workspace3(self._fwd, n, rows, cols),
+            _workspace3(self._den, n, rows, cols),
+            _workspace3(self._nonneg, n, rows, cols, dtype=bool),
+        )
 
 
 _STACKED_ACTIVATIONS = {
@@ -139,6 +128,11 @@ class StackedSequential:
     ``forward`` takes ``(N, rows, in_dim)`` and returns
     ``(N, rows, out_dim)``, where slice ``i`` equals
     ``nets[i].forward(x[i], cache=False)`` bit-for-bit.
+
+    ``storage`` is the ``(N, P)`` parameter block whose row ``i`` is
+    ``nets[i].flat``; ``allocator`` (an ``np.empty``-compatible
+    callable, called once) lets a caller place it, e.g. in shared
+    memory.
     """
 
     def __init__(self, nets: Sequence[Sequential], allocator=None):
@@ -147,18 +141,40 @@ class StackedSequential:
             raise ValueError("need at least one network")
         if len({id(net) for net in nets}) != len(nets):
             raise ValueError("stacked networks must be distinct objects")
-        n_layers = len(nets[0].layers)
+        lead = nets[0]
         for net in nets:
-            if len(net.layers) != n_layers:
+            if len(net.layers) != len(lead.layers) or any(
+                type(a) is not type(b)
+                for a, b in zip(net.layers, lead.layers)
+            ):
                 raise ValueError("networks must share an architecture")
+            if net.arena.shapes != lead.arena.shapes:
+                raise ValueError(
+                    f"parameter shape mismatch: {net.arena.shapes} "
+                    f"!= {lead.arena.shapes}"
+                )
         self.n = len(nets)
+        want = (self.n, lead.flat.size)
+        alloc = np.empty if allocator is None else allocator
+        self.storage = alloc(want, dtype=np.float64)
+        if self.storage.shape != want or self.storage.dtype != np.float64:
+            raise ValueError(
+                f"allocator returned {self.storage.shape} "
+                f"{self.storage.dtype}, wanted {want} float64"
+            )
+        for i, net in enumerate(nets):
+            net.arena.adopt(self.storage[i], net.parameters())
+        offsets = lead.arena.offsets
         self._ops = []
-        for layers in zip(*(net.layers for net in nets)):
-            kind = type(layers[0])
-            if any(type(lay) is not kind for lay in layers):
-                raise ValueError("networks must share an architecture")
+        for layer in lead.layers:
+            kind = type(layer)
             if kind is Linear:
-                self._ops.append(_StackedLinear(layers, allocator))
+                w, b = layer.weight, layer.bias
+                self._ops.append(_StackedLinear(
+                    _columns(self.storage, offsets[w.index], w.data.shape),
+                    _columns(self.storage, offsets[b.index],
+                             (1, *b.data.shape)),
+                ))
             elif kind in _STACKED_ACTIVATIONS:
                 self._ops.append(_STACKED_ACTIVATIONS[kind]())
             else:
@@ -179,9 +195,4 @@ class StackedSequential:
         member ``i``'s net is finite.  Pure observation (no RNG, no
         writes), used to quarantine diverged members before their NaNs
         can reach the shared lockstep tensors."""
-        ok = np.ones(self.n, dtype=bool)
-        for op in self._ops:
-            if isinstance(op, _StackedLinear):
-                ok &= np.isfinite(op.w).all(axis=(1, 2))
-                ok &= np.isfinite(op.b).all(axis=(1, 2))
-        return ok
+        return np.isfinite(self.storage).all(axis=1)

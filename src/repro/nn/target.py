@@ -5,30 +5,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.network import Sequential
+from repro.telemetry.profiling import phase as _profile_phase
 
 __all__ = ["soft_update", "hard_update"]
 
-# Pooled scratch per parameter shape: Polyak averaging runs every agent
-# update on every target parameter, so the τθ product writes into a
+# Pooled scratch per arena size: Polyak averaging runs every agent
+# update on every target network, so the τθ product writes into a
 # reusable buffer instead of a fresh allocation (bit-identical — scalar
 # multiplication is commutative at the element level).
-_scratch: dict[tuple[int, ...], np.ndarray] = {}
+_scratch: dict[int, np.ndarray] = {}
 
 
 def soft_update(target: Sequential, source: Sequential, tau: float) -> None:
-    """Polyak averaging: ``θ' ← τ θ + (1 − τ) θ'`` (in place)."""
+    """Polyak averaging: ``θ' ← τ θ + (1 − τ) θ'`` (in place).
+
+    One elementwise pass per operation over each network's flat arena.
+    """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    t_params, s_params = target.parameters(), source.parameters()
-    if len(t_params) != len(s_params):
+    if target.arena.shapes != source.arena.shapes:
         raise ValueError("target/source architectures differ")
-    for tp, sp in zip(t_params, s_params):
-        buf = _scratch.get(sp.data.shape)
+    with _profile_phase("nn.polyak"):
+        t_flat, s_flat = target.flat, source.flat
+        buf = _scratch.get(s_flat.size)
         if buf is None:
-            buf = _scratch[sp.data.shape] = np.empty_like(sp.data)
-        tp.data *= 1.0 - tau
-        np.multiply(sp.data, tau, out=buf)
-        tp.data += buf
+            buf = _scratch[s_flat.size] = np.empty_like(s_flat)
+        t_flat *= 1.0 - tau
+        np.multiply(s_flat, tau, out=buf)
+        t_flat += buf
 
 
 def hard_update(target: Sequential, source: Sequential) -> None:

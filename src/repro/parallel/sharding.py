@@ -107,25 +107,18 @@ def _rings(buffer) -> list[tuple[str, object]]:
 def population_block_plan(tuners) -> ArenaPlan:
     """The shared-memory layout for one shard's slice of DeepCAT tuners.
 
-    Parameter blocks come first, in exactly the order
-    ``PopulationTD3View`` allocates them (actor, critic1, critic2; per
-    Linear layer weight then bias) so the arena's sequential allocator
-    lines up with the stacked adoption.  Replay-ring arrays follow as
-    named blocks, one set per member.
+    Parameter blocks come first, one ``(n, P)`` block per network in
+    exactly the order ``PopulationTD3View`` allocates them (actor,
+    critic1, critic2), so the arena's sequential allocator lines up with
+    the stacked adoption.  Replay-ring arrays follow as named blocks,
+    one set per member.
     """
-    from repro.nn.layers import Linear
-
-    shapes: list[tuple[str, tuple[int, ...]]] = []
     n = len(tuners)
     lead = tuners[0].agent
-    k = 0
-    for net_name in ("actor", "critic1", "critic2"):
-        for lay in getattr(lead, net_name).layers:
-            if isinstance(lay, Linear):
-                w_shape = lay.weight.data.shape
-                shapes.append((f"param{k}.w", (n, *w_shape)))
-                shapes.append((f"param{k}.b", (n, 1, w_shape[1])))
-                k += 1
+    shapes: list[tuple[str, tuple[int, ...]]] = [
+        (f"param.{net_name}", (n, getattr(lead, net_name).flat.size))
+        for net_name in ("actor", "critic1", "critic2")
+    ]
     for mi, dc in enumerate(tuners):
         for ring_name, storage in _rings(dc.buffer):
             for arr_name in _RING_ARRAYS:

@@ -9,6 +9,7 @@ wall-clock went (filled from the tracer at finish time).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -22,11 +23,21 @@ __all__ = ["RunManifest", "git_sha", "describe_hyper_params"]
 
 
 def git_sha(cwd: str | Path | None = None) -> str | None:
-    """Current git commit SHA, or None outside a repo / without git."""
+    """Current git commit SHA, or None outside a repo / without git.
+
+    Resolved once per directory per process: the code a running process
+    executes cannot change under it, and ``git rev-parse`` costs a
+    subprocess spawn on every tuning request otherwise.
+    """
+    return _git_sha_cached(str(Path(cwd if cwd is not None else ".").resolve()))
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha_cached(cwd: str) -> str | None:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5.0,

@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Three golden artifacts live here:
+Four golden artifacts live here:
 
 * ``sim_defaults.json`` — the *noise-free* default-configuration
   execution time of every paper workload at dataset D1 on both
@@ -18,6 +18,18 @@ Three golden artifacts live here:
   critic losses plus a SHA-256 of the PER sum-tree's bytes.  Pins the
   TD-error prioritized replay (sampling descent, IS weights, priority
   repair) together with the DDPG update it feeds.
+* ``deepcat_trace.json`` — a seeded DeepCAT (TD3 + RDPER) offline
+  run: its critic losses plus a SHA-256 over every network's
+  parameters (online and target), both Adam moments of every
+  optimizer, and each optimizer's step count.  Pins the TD3 update,
+  the optimizer and the Polyak averaging byte for byte.
+
+``td3_parent_format.pkl`` and its ``.json`` companion are not written
+here: they are a TD3 agent pickled by the release before flat parameter
+arenas, with its state digests at save time and after five more updates,
+and they pin that old pickles keep loading and resuming identically
+(``tests/test_nn_arena.py``).  Regenerating them would lose the format
+they exist to test.
 
 Any edit that moves one of these files must (a) be intentional, (b)
 regenerate it with this script, and (c) bump
@@ -33,6 +45,7 @@ from pathlib import Path
 GOLDEN_PATH = Path(__file__).parent / "sim_defaults.json"
 POPULATION_TRACE_PATH = Path(__file__).parent / "population_trace.json"
 CDBTUNE_TRACE_PATH = Path(__file__).parent / "cdbtune_trace.json"
+DEEPCAT_TRACE_PATH = Path(__file__).parent / "deepcat_trace.json"
 
 WORKLOADS = ("WC", "TS", "PR", "KM")
 CLUSTERS = ("cluster-a", "cluster-b")
@@ -44,6 +57,9 @@ TRACE_STEPS = 3
 
 CDBTUNE_SEED = 3
 CDBTUNE_ITERATIONS = 200
+
+DEEPCAT_SEED = 5
+DEEPCAT_ITERATIONS = 200
 
 
 def compute() -> dict[str, float]:
@@ -117,6 +133,38 @@ def compute_cdbtune_trace() -> dict:
     }
 
 
+def compute_deepcat_trace() -> dict:
+    """One seeded DeepCAT offline run: critic losses + state digest.
+
+    The digest walks the agent's networks in a fixed order (the online
+    nets, then their targets), then every optimizer's first and second
+    moments and step count — the whole learned state a fork carries.
+    """
+    import hashlib
+
+    from repro.core.deepcat import DeepCAT
+    from repro.factory import make_env
+
+    env = make_env("TS", DATASET, seed=1000 + DEEPCAT_SEED)
+    tuner = DeepCAT.from_env(env, seed=DEEPCAT_SEED)
+    log = tuner.train_offline(env, iterations=DEEPCAT_ITERATIONS)
+    agent = tuner.agent
+    digest = hashlib.sha256()
+    for name in ("actor", "critic1", "critic2", "actor_target",
+                 "critic1_target", "critic2_target"):
+        for p in getattr(agent, name).parameters():
+            digest.update(p.data.tobytes())
+    for name in ("actor_opt", "critic1_opt", "critic2_opt"):
+        opt = getattr(agent, name)
+        digest.update(opt._m.tobytes())
+        digest.update(opt._v.tobytes())
+        digest.update(str(opt._t).encode())
+    return {
+        "critic_losses": [float(v) for v in log.critic_losses],
+        "state_sha256": digest.hexdigest(),
+    }
+
+
 def main() -> None:
     values = compute()
     GOLDEN_PATH.write_text(json.dumps(values, indent=2, sort_keys=True)
@@ -141,6 +189,14 @@ def main() -> None:
     print(f"wrote {CDBTUNE_TRACE_PATH}: "
           f"{len(cdbtune['critic_losses'])} critic losses, "
           f"sum-tree {cdbtune['sumtree_sha256'][:16]}")
+
+    deepcat = compute_deepcat_trace()
+    DEEPCAT_TRACE_PATH.write_text(
+        json.dumps(deepcat, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {DEEPCAT_TRACE_PATH}: "
+          f"{len(deepcat['critic_losses'])} critic losses, "
+          f"state {deepcat['state_sha256'][:16]}")
 
 
 if __name__ == "__main__":

@@ -68,6 +68,23 @@ class TestOfflineTrainer:
         with pytest.raises(ValueError):
             OfflineTrainer(tuner.agent, tuner.buffer, updates_per_step=-1)
 
+    def test_log_deepcopy_is_independent(self):
+        import copy
+
+        env = make_env("TS", "D1", seed=0)
+        log = fast_deepcat(env).train_offline(env, iterations=30)
+        clone = copy.deepcopy(log)
+        for name in ("rewards", "min_q", "durations", "critic_losses"):
+            assert getattr(clone, name) == getattr(log, name)
+            assert getattr(clone, name) is not getattr(log, name)
+        assert clone.best_duration_s == log.best_duration_s
+        np.testing.assert_array_equal(clone.best_action, log.best_action)
+        assert clone.best_action is not log.best_action
+        clone.rewards.append(0.0)
+        clone.best_action[0] = -1.0
+        assert log.iterations == 30
+        assert log.best_action[0] != -1.0
+
 
 class TestOnlineTuner:
     def make_trained(self, seed=0, **kw):

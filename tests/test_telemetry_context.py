@@ -54,6 +54,18 @@ class TestManifest:
         if sha is not None:
             assert len(sha) == 40
 
+    def test_git_sha_resolved_once_per_process(self, monkeypatch):
+        from repro.telemetry import manifest
+
+        first = RunManifest(seed=1)
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("git resolved a second time")
+
+        monkeypatch.setattr(manifest.subprocess, "run", no_spawn)
+        second = RunManifest(seed=2)
+        assert second.git_sha == first.git_sha
+
     def test_describe_hyper_params_handles_shapes(self):
         import numpy as np
 
