@@ -187,6 +187,16 @@ class TD3Agent:
         )
         return diag
 
+    def share_workspaces(self, lead: "TD3Agent") -> None:
+        """Run all six networks and three optimizers on ``lead``'s
+        workspaces, for agents whose updates never interleave (the
+        members of a :class:`~repro.core.population.PopulationTuner`)."""
+        for net in ("actor", "actor_target", "critic1", "critic2",
+                    "critic1_target", "critic2_target"):
+            getattr(self, net).share_workspaces(getattr(lead, net))
+        for opt in ("actor_opt", "critic1_opt", "critic2_opt"):
+            getattr(self, opt).share_workspaces(getattr(lead, opt))
+
     # ------------------------------------------------------------- critics
 
     def twin_q(self, state: np.ndarray, action: np.ndarray) -> tuple[float, float]:

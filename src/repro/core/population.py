@@ -29,6 +29,15 @@ bit-identity argument, phase by phase:
 3. the scalar fine-tune updates write *through* the stacked parameter
    views, so batched forwards always see the latest per-member weights.
 
+Workspaces are per population, not per member: every member's networks
+and Adam optimizers run on member 0's layer and optimizer workspaces
+(:meth:`~repro.agents.td3.TD3Agent.share_workspaces`).  That is safe
+because of the same phase structure: the scalar tail runs each member's
+fine-tune updates to completion before the next member starts, and no
+phase holds a member's forward/backward output across another member's
+call (the ownership rule in :mod:`repro.nn.layers`).  Pickles and deep
+copies drop workspaces, so checkpoints and forks are unaffected.
+
 The one documented divergence is ``recommendation_s``: the population
 measures one batched recommendation wall-clock per lockstep iteration
 and splits it equally among participating members, so this field (and
@@ -144,6 +153,8 @@ class PopulationTuner:
         self.view = PopulationTD3View(
             [m.tuner.agent for m in members], allocator=param_allocator
         )
+        for m in members[1:]:
+            m.tuner.agent.share_workspaces(members[0].tuner.agent)
         n = len(members)
         self._states = np.zeros((n, self.view.state_dim))
         self._actions = np.zeros((n, self.view.action_dim))

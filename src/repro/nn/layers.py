@@ -23,6 +23,15 @@ copy it before then (every in-repo caller does).
 Every underscore attribute of a layer is such a cache or workspace.
 Pickles and deep copies leave them out and a copy starts with empty
 pools, so a fork or checkpoint carries the parameters only.
+
+Same-shaped layers may share their workspaces
+(:meth:`Layer.share_workspaces`).  "The same layer" in the ownership
+rule then means every layer in the sharing group: an array one of them
+returned is overwritten by the next forward/backward of *any* of them.
+That is safe only while each layer's forward → backward → optimizer
+step runs to completion before another layer of the group starts one,
+which is how :class:`~repro.core.population.PopulationTuner` runs its
+members' fine-tune updates.
 """
 
 from __future__ import annotations
@@ -52,8 +61,22 @@ def _workspace(
 class Layer:
     """Base class; stateless layers only override forward/backward."""
 
+    #: names of the layer's workspace pools (``dict``s keyed by rows)
+    _POOLS: tuple[str, ...] = ()
+
     def _reset_scratch(self) -> None:
         """(Re)create the layer's caches and workspaces, all empty."""
+
+    def share_workspaces(self, lead: "Layer") -> None:
+        """Use ``lead``'s workspace pools from now on instead of this
+        layer's own (see the module docstring for when that is safe)."""
+        if type(lead) is not type(self):
+            raise TypeError(
+                f"cannot share {type(lead).__name__} workspaces with a "
+                f"{type(self).__name__}"
+            )
+        for name in self._POOLS:
+            setattr(self, name, getattr(lead, name))
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -82,6 +105,8 @@ class Layer:
 
 class Linear(Layer):
     """Affine layer ``y = x @ W + b``."""
+
+    _POOLS = ("_fwd", "_fwd_nc", "_bwd")
 
     def __init__(
         self,
@@ -115,6 +140,13 @@ class Linear(Layer):
         self._bwd: dict[int, np.ndarray] = {}
         self._grad_w: np.ndarray | None = None
         self._grad_b: np.ndarray | None = None
+
+    def share_workspaces(self, lead: "Layer") -> None:
+        super().share_workspaces(lead)
+        if lead._grad_w is None:
+            lead._grad_w = np.empty_like(lead.weight.data)
+            lead._grad_b = np.empty_like(lead.bias.data)
+        self._grad_w, self._grad_b = lead._grad_w, lead._grad_b
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if cache:
@@ -161,6 +193,8 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
+    _POOLS = ("_fwd", "_fwd_nc", "_masks", "_bwd")
+
     def __init__(self):
         self._reset_scratch()
 
@@ -192,6 +226,8 @@ class ReLU(Layer):
 
 
 class Tanh(Layer):
+    _POOLS = ("_fwd", "_fwd_nc", "_bwd")
+
     def __init__(self):
         self._reset_scratch()
 
@@ -244,6 +280,8 @@ def sigmoid(
 
 
 class Sigmoid(Layer):
+    _POOLS = ("_fwd", "_fwd_nc", "_den", "_nonneg", "_bwd")
+
     def __init__(self):
         self._reset_scratch()
 

@@ -253,6 +253,15 @@ class Sequential:
                 )
             p.data[...] = value
 
+    def share_workspaces(self, lead: "Sequential") -> None:
+        """Run on ``lead``'s layer workspaces from now on; see
+        :mod:`repro.nn.layers` for the ownership rule this implies."""
+        if (self.arena.shapes != lead.arena.shapes
+                or len(self.layers) != len(lead.layers)):
+            raise ValueError("architectures differ")
+        for layer, lead_layer in zip(self.layers, lead.layers):
+            layer.share_workspaces(lead_layer)
+
     def copy_from(self, other: "Sequential") -> None:
         """Hard-copy parameters from a same-architecture network."""
         if self.arena.shapes != other.arena.shapes:

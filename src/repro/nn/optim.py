@@ -60,6 +60,8 @@ class Adam:
     State tensors are updated in place through one scratch pair, so a
     step allocates nothing beyond the bias-corrected scalars.  Pickles
     and deep copies carry the moments and step count, not the scratch.
+    Optimizers of same-shaped networks may share that scratch
+    (:meth:`share_workspaces`) as long as their steps never interleave.
     """
 
     def __init__(
@@ -103,6 +105,14 @@ class Adam:
                 for shape, off in zip(arena.shapes, arena.offsets)
             ]
         return self._scratch
+
+    def share_workspaces(self, lead: "Adam") -> None:
+        """Step through ``lead``'s scratch pair from now on instead of
+        this optimizer's own."""
+        if lead.arena.shapes != self.arena.shapes:
+            raise ValueError("cannot share scratch across arena shapes")
+        self._scratch = lead._workspaces()
+        self._sq_views = lead._sq_views
 
     def _clip_grads(self) -> None:
         if self.max_grad_norm is None:

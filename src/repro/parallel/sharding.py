@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 from repro.parallel.pinning import limit_blas_threads, shard_plan
 from repro.parallel.shm import ArenaPlan, ShmArena, plan_blocks
+from repro.replay.base import RingStorage
 
 __all__ = [
     "ShardCrash",
@@ -61,7 +62,6 @@ __all__ = [
     "population_block_plan",
 ]
 
-_RING_ARRAYS = ("_states", "_actions", "_rewards", "_next_states")
 _JOIN_S = 5.0
 _POLL_S = 0.1
 
@@ -99,7 +99,7 @@ def _rings(buffer) -> list[tuple[str, object]]:
     rings = []
     for attr in ("_high", "_low", "_storage", "_ring"):
         storage = getattr(buffer, attr, None)
-        if storage is not None and hasattr(storage, "_states"):
+        if isinstance(storage, RingStorage):
             rings.append((attr, storage))
     return rings
 
@@ -111,7 +111,8 @@ def population_block_plan(tuners) -> ArenaPlan:
     exactly the order ``PopulationTD3View`` allocates them (actor,
     critic1, critic2), so the arena's sequential allocator lines up with
     the stacked adoption.  Replay-ring arrays follow as named blocks,
-    one set per member.
+    one set per member, each sized at the ring's full capacity: a ring
+    grows by reallocating, which would move it off shared memory.
     """
     n = len(tuners)
     lead = tuners[0].agent
@@ -121,21 +122,25 @@ def population_block_plan(tuners) -> ArenaPlan:
     ]
     for mi, dc in enumerate(tuners):
         for ring_name, storage in _rings(dc.buffer):
-            for arr_name in _RING_ARRAYS:
-                arr = getattr(storage, arr_name)
-                shapes.append((f"m{mi}.{ring_name}{arr_name}", arr.shape))
+            for arr_name in RingStorage.ARRAYS:
+                cols = getattr(storage, arr_name).shape[1]
+                shapes.append(
+                    (f"m{mi}.{ring_name}{arr_name}", (storage.capacity, cols))
+                )
     return plan_blocks(shapes)
 
 
 def _adopt_rings(tuners, arena: ShmArena) -> None:
-    """Move each member's replay-ring arrays into the arena (copy once,
-    then rebind) so pushes/samples write through shared memory."""
+    """Move each member's replay-ring arrays into the arena (copy the
+    occupied rows once, then rebind) so pushes/samples write through
+    shared memory; the capacity-sized blocks leave the ring no reason
+    to grow off it."""
     for mi, dc in enumerate(tuners):
         for ring_name, storage in _rings(dc.buffer):
-            for arr_name in _RING_ARRAYS:
+            n = len(storage)
+            for arr_name in RingStorage.ARRAYS:
                 view = arena.view(f"m{mi}.{ring_name}{arr_name}")
-                src = getattr(storage, arr_name)
-                view[...] = src
+                view[:n] = getattr(storage, arr_name)[:n]
                 setattr(storage, arr_name, view)
 
 

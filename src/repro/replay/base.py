@@ -48,9 +48,19 @@ class ReplayBatch:
 class RingStorage:
     """Fixed-capacity structure-of-arrays transition store.
 
-    Pre-allocates numpy arrays and overwrites the oldest entry when full —
-    no per-push allocation, O(1) insertion, vectorized gather on sample.
+    The arrays grow geometrically as rows are pushed, up to
+    ``capacity``; from then on each push overwrites the oldest entry.
+    Insertion is amortised O(1), gathers are vectorized, and slot
+    indices are the same as in a ring allocated whole up front.  Deep
+    copies and pickles carry only the occupied rows, so a copy costs
+    what the ring holds rather than what it could hold.  Pickles whose
+    arrays span the full capacity load unchanged.
     """
+
+    #: the per-transition arrays, one row per slot
+    ARRAYS = ("_states", "_actions", "_rewards", "_next_states")
+    #: rows allocated by the first push
+    _MIN_ROWS = 64
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity <= 0:
@@ -60,12 +70,29 @@ class RingStorage:
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self._states = np.zeros((capacity, state_dim))
-        self._actions = np.zeros((capacity, action_dim))
-        self._rewards = np.zeros((capacity, 1))
-        self._next_states = np.zeros((capacity, state_dim))
+        self._states = np.empty((0, state_dim))
+        self._actions = np.empty((0, action_dim))
+        self._rewards = np.empty((0, 1))
+        self._next_states = np.empty((0, state_dim))
         self._next = 0
         self._size = 0
+
+    def _grow(self) -> None:
+        """Reallocate every array at double its rows (capped at
+        ``capacity``), keeping the occupied rows."""
+        rows = min(self.capacity, max(2 * len(self._states), self._MIN_ROWS))
+        n = self._size
+        for name in self.ARRAYS:
+            old = getattr(self, name)
+            new = np.empty((rows, old.shape[1]))
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in self.ARRAYS:
+            state[name] = state[name][: self._size]
+        return state
 
     def __len__(self) -> int:
         return self._size
@@ -81,6 +108,8 @@ class RingStorage:
                 f"action shape {t.action.shape} != ({self.action_dim},)"
             )
         idx = self._next
+        if idx == len(self._states):
+            self._grow()
         self._states[idx] = t.state
         self._actions[idx] = t.action
         self._rewards[idx, 0] = t.reward
@@ -123,7 +152,7 @@ class RingStorage:
         whose indices are in-range by construction (RDPER draws them as
         ``rng.integers(0, len(pool))``).  The ``ndarray.take`` method
         skips numpy's dispatch wrapper and still hard-errors on indices
-        past the array's capacity (``mode='raise'``)."""
+        past the allocated rows (``mode='raise'``)."""
         end = offset + idx.size
         self._states.take(idx, axis=0, out=batch.states[offset:end])
         self._actions.take(idx, axis=0, out=batch.actions[offset:end])

@@ -28,8 +28,11 @@ Four golden artifacts live here:
 here: they are a TD3 agent pickled by the release before flat parameter
 arenas, with its state digests at save time and after five more updates,
 and they pin that old pickles keep loading and resuming identically
-(``tests/test_nn_arena.py``).  Regenerating them would lose the format
-they exist to test.
+(``tests/test_nn_arena.py``).  ``deepcat_parent_format.pkl`` and its
+``.json`` are likewise a small DeepCAT pickled by the release whose
+replay rings were allocated at full capacity, with the 5-step session
+that release ran from it (``tests/test_fork_footprint.py``).
+Regenerating either pair would lose the format it exists to test.
 
 Any edit that moves one of these files must (a) be intentional, (b)
 regenerate it with this script, and (c) bump

@@ -1,7 +1,11 @@
 """Tests for transition storage and the uniform replay buffer."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.replay.base import ReplayBatch, RingStorage, Transition
 from repro.replay.uniform import UniformReplayBuffer
@@ -56,6 +60,108 @@ class TestRingStorage:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             RingStorage(0, 3, 2)
+
+
+def _preallocated(capacity, state_dim, action_dim):
+    """The reference ring: every array allocated whole up front, so it
+    never grows."""
+    ring = RingStorage(capacity, state_dim, action_dim)
+    for name, cols in zip(RingStorage.ARRAYS,
+                          (state_dim, action_dim, 1, state_dim)):
+        setattr(ring, name, np.zeros((capacity, cols)))
+    return ring
+
+
+def _assert_same_ring(grown, ref):
+    assert (grown._next, grown._size) == (ref._next, ref._size)
+    n = len(ref)
+    for name in RingStorage.ARRAYS:
+        assert getattr(grown, name)[:n].tobytes() == \
+            getattr(ref, name)[:n].tobytes()
+
+
+def _random_transition(rng, state_dim, action_dim):
+    return Transition(
+        state=rng.standard_normal(state_dim),
+        action=rng.random(action_dim),
+        reward=float(rng.standard_normal()),
+        next_state=rng.standard_normal(state_dim),
+    )
+
+
+class TestGrowingRing:
+    """A ring that allocates as it fills behaves exactly like one
+    allocated at full capacity, and copies only what it holds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        capacity=st.sampled_from([1, 2, 255, 256, 257, 1000]),
+        state_dim=st.integers(1, 3),
+        action_dim=st.integers(1, 3),
+        ops=st.lists(
+            st.tuples(st.integers(0, 700), st.integers(1, 64)),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_preallocated_reference(
+        self, capacity, state_dim, action_dim, ops, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grown = RingStorage(capacity, state_dim, action_dim)
+        ref = _preallocated(capacity, state_dim, action_dim)
+        for pushes, draws in ops:
+            for _ in range(pushes):
+                t = _random_transition(rng, state_dim, action_dim)
+                assert grown.push(t) == ref.push(t)
+            _assert_same_ring(grown, ref)
+            if not len(ref):
+                continue
+            idx = rng.integers(0, len(ref), size=draws)
+            a, b = grown.gather(idx), ref.gather(idx)
+            for field in ("states", "actions", "rewards", "next_states"):
+                assert getattr(a, field).tobytes() == \
+                    getattr(b, field).tobytes()
+            i = int(idx[0])
+            assert grown.reward_at(i) == ref.reward_at(i)
+
+        row_bytes = 8 * (2 * state_dim + action_dim + 1)
+        blob = pickle.dumps(grown)
+        assert len(blob) <= 1024 + len(grown) * row_bytes
+        for clone in (copy.deepcopy(grown), pickle.loads(blob)):
+            _assert_same_ring(clone, ref)
+            assert all(len(getattr(clone, name)) == len(clone)
+                       for name in RingStorage.ARRAYS)
+            # the copy keeps growing and wrapping in step with the reference
+            ref_copy = copy.deepcopy(ref)
+            for _ in range(capacity + 3):
+                t = _random_transition(rng, state_dim, action_dim)
+                assert clone.push(t) == ref_copy.push(t)
+            _assert_same_ring(clone, ref_copy)
+
+    def test_arrays_grow_with_occupancy(self):
+        ring = RingStorage(20_000, 3, 2)
+        assert ring._states.shape == (0, 3)
+        for i in range(100):
+            ring.push(make_transition(i))
+        assert 100 <= len(ring._states) <= 200
+        small = len(pickle.dumps(ring))
+        for i in range(100, 1000):
+            ring.push(make_transition(i))
+        assert len(pickle.dumps(ring)) > 5 * small
+        assert len(pickle.dumps(ring)) < 1000 * 8 * 9 + 1024
+
+    def test_full_capacity_pickle_loads(self):
+        ref = _preallocated(8, 3, 2)
+        for i in range(5):
+            ref.push(make_transition(i))
+        # what unpickling a ring from before rings grew does
+        ring = RingStorage.__new__(RingStorage)
+        ring.__dict__.update(ref.__dict__)
+        for i in range(5, 12):
+            assert ring.push(make_transition(i)) == i % 8
+        assert sorted(ring.reward_at(i) for i in range(8)) == \
+            [float(i) for i in range(4, 12)]
 
 
 class TestUniformReplayBuffer:

@@ -20,6 +20,7 @@ import os
 import shutil
 import signal
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -27,10 +28,17 @@ from repro.core.persistence import (
     load_checkpoint,
     load_population_checkpoint,
 )
-from repro.core.population import population_seed_plan
+from repro.core.population import PopulationTuner, population_seed_plan
 from repro.core.result import sessions_equal
-from repro.parallel.sharding import ShardCrash, ShardedPopulation
-from repro.parallel.shm import active_segments
+from repro.parallel.sharding import (
+    ShardCrash,
+    ShardedPopulation,
+    _adopt_rings,
+    _rings,
+    population_block_plan,
+)
+from repro.parallel.shm import ShmArena, active_segments
+from repro.replay.base import RingStorage
 
 N = 4
 SEED = 42
@@ -222,3 +230,31 @@ def test_heartbeat_reports_round_time(model, tmp_path):
     assert doc.get("round_s") is not None
     assert doc["round_s"] > 0.0
     assert default_stale_after(doc) >= max(3.0 * doc["round_s"], 10.0)
+
+
+def test_worker_rings_stay_on_shared_memory():
+    """A shard worker's replay rings keep writing through the arena as
+    they fill: the plan sizes each ring block at full capacity, so the
+    ring never reallocates off shared memory.  Runs the worker's set-up
+    (stacked parameters and rings adopted into one arena) and rounds
+    in-process, starting from empty rings that must grow."""
+    tuners, envs = _members(2)
+    arena = ShmArena.create(population_block_plan(tuners))
+    try:
+        population = PopulationTuner.from_deepcat(
+            tuners, envs, fine_tune_updates=1,
+            param_allocator=arena.sequential_allocator(),
+        )
+        _adopt_rings(tuners, arena)
+        population.tune(steps=STEPS)
+        for mi, dc in enumerate(tuners):
+            assert len(dc.buffer) == STEPS
+            for ring_name, ring in _rings(dc.buffer):
+                for arr_name in RingStorage.ARRAYS:
+                    block = arena.view(f"m{mi}.{ring_name}{arr_name}")
+                    assert np.shares_memory(getattr(ring, arr_name), block)
+                    assert len(block) == ring.capacity
+    finally:
+        arena.close()
+        arena.unlink()
+    assert active_segments() == []
