@@ -31,26 +31,50 @@ def lasso_coordinate_descent(
     n, d = x.shape
     if y.shape[0] != n:
         raise ValueError("x and y must align")
-    w = np.zeros(d)
-    # Precompute column norms; residual maintained incrementally.
-    col_sq = (x**2).sum(axis=0) / n
+    if n == 0:
+        raise ValueError("need at least one observation")
+    alpha, tol = float(alpha), float(tol)
+    # The loop runs on Python floats; numpy-scalar dispatch would dominate
+    # it.  Each step is the same IEEE double operation as the array form
+    # of coordinate descent, so the coefficients are bit-identical to it,
+    # signed zeros included.  rho must come from the strided column view:
+    # a contiguous copy would take BLAS's unit-stride ddot kernel, which
+    # sums in another order.
+    col_sq = ((x**2).sum(axis=0) / n).tolist()
+    columns = [
+        (j, x[:, j], c) for j, c in enumerate(col_sq) if not c <= 1e-15
+    ]
+    w = [0.0] * d
     residual = y.copy()
+    step = np.empty(n)
     for _ in range(max_iter):
         max_delta = 0.0
-        for j in range(d):
-            if col_sq[j] <= 1e-15:
-                continue
-            w_j_old = w[j]
-            rho = (x[:, j] @ residual) / n + col_sq[j] * w_j_old
-            # Soft thresholding.
-            w_new = np.sign(rho) * max(abs(rho) - alpha, 0.0) / col_sq[j]
-            if w_new != w_j_old:
-                residual += x[:, j] * (w_j_old - w_new)
+        for j, col, c in columns:
+            w_old = w[j]
+            rho = float(col.dot(residual)) / n + c * w_old
+            # Soft thresholding: sign(rho) * max(|rho| - alpha, 0) / c,
+            # with sign(0) = 0 and NaN propagating as np.sign does.
+            shrunk = abs(rho) - alpha
+            if shrunk < 0.0:
+                shrunk = 0.0
+            if rho > 0.0:
+                w_new = shrunk / c
+            elif rho < 0.0:
+                w_new = -shrunk / c
+            elif rho == 0.0:
+                w_new = 0.0 * shrunk / c
+            else:
+                w_new = rho
+            if w_new != w_old:
+                np.multiply(col, w_old - w_new, out=step)
+                np.add(residual, step, out=residual)
                 w[j] = w_new
-                max_delta = max(max_delta, abs(w_new - w_j_old))
+                delta = abs(w_new - w_old)
+                if delta > max_delta:
+                    max_delta = delta
         if max_delta < tol:
             break
-    return w
+    return np.array(w, dtype=np.float64)
 
 
 def rank_knobs(
@@ -82,6 +106,10 @@ def rank_knobs(
         newly = (np.abs(w) > 1e-10) & (entry_alpha < 0)
         entry_alpha[newly] = a
         entry_coef[newly] = np.abs(w[newly])
+        # A solve can only record features that have not entered yet;
+        # once none is left the rest of the path cannot move the ranking.
+        if not (entry_alpha < 0).any():
+            break
 
     corr = np.abs(xs.T @ yc) / n
     order = sorted(

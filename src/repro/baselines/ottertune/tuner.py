@@ -11,6 +11,12 @@ the DRL tuners' in Figure 7):
 4. maximize Expected Improvement over a candidate pool (random samples
    plus perturbations of the incumbent, non-selected knobs pinned);
 5. evaluate the winner on the target cluster.
+
+Each stage is a profiler phase (``ottertune.map``, ``ottertune.rank``,
+``ottertune.gp``, ``ottertune.ei``, plus ``ottertune.collect`` for the
+offline samples), resolved through the process-wide active profiler the
+way ``repro.nn`` does, so ``--profile`` names where a recommendation's
+time goes.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.baselines.ottertune.mapping import WorkloadRepository
 from repro.core.result import OnlineSession, TuningStepRecord
 from repro.envs.tuning_env import TuningEnv
 from repro.sim.faults import FAILURE_PERF_FACTOR
+from repro.telemetry.profiling import phase as _profile_phase
 
 __all__ = ["OtterTune"]
 
@@ -79,20 +86,27 @@ class OtterTune:
         self, env: TuningEnv, workload_id: str, samples: int
     ) -> None:
         """Gather ``samples`` random evaluations of ``env`` into the
-        repository (the paper feeds OtterTune thousands of these)."""
+        repository (the paper feeds OtterTune thousands of these).
+
+        The actions do not depend on outcomes, so they are drawn up front
+        and evaluated through :meth:`TuningEnv.step_batch`, which is
+        bit-identical to stepping them one by one.
+        """
         if samples <= 0:
             raise ValueError("samples must be positive")
-        for _ in range(samples):
-            action = env.space.sample_vector(self._rng)
-            outcome = env.step(action)
-            perf = (
-                outcome.duration_s
-                if outcome.success
-                else FAILURE_PERF_FACTOR * env.default_duration
+        with _profile_phase("ottertune.collect"):
+            actions = np.stack(
+                [env.space.sample_vector(self._rng) for _ in range(samples)]
             )
-            self.observe_offline(
-                workload_id, outcome.action, outcome.next_state, perf
-            )
+            for outcome in env.step_batch(actions):
+                perf = (
+                    outcome.duration_s
+                    if outcome.success
+                    else FAILURE_PERF_FACTOR * env.default_duration
+                )
+                self.observe_offline(
+                    workload_id, outcome.action, outcome.next_state, perf
+                )
 
     # ------------------------------------------------------------- online
 
@@ -182,18 +196,27 @@ class OtterTune:
 
         for step in range(steps):
             t0 = time.perf_counter()
-            x_train, y_train = self._training_data(target_x, target_m, target_y)
-            knob_order = rank_knobs(x_train, y_train)
-            gp = GaussianProcessRegressor(
-                length_scale=self.length_scale,
-                noise_variance=self.noise_variance,
-            ).fit(x_train, y_train)
-            best_idx = int(np.argmin(y_train))
-            incumbent = x_train[best_idx]
-            candidates = self._candidates(incumbent, knob_order)
-            mean, std = gp.predict(candidates, return_std=True)
-            ei = expected_improvement(mean, std, float(y_train[best_idx]))
-            action = candidates[int(np.argmax(ei))]
+            with _profile_phase("ottertune.map"):
+                x_train, y_train = self._training_data(
+                    target_x, target_m, target_y
+                )
+            with _profile_phase("ottertune.rank"):
+                knob_order = rank_knobs(x_train, y_train)
+            with _profile_phase("ottertune.gp"):
+                gp = GaussianProcessRegressor(
+                    length_scale=self.length_scale,
+                    noise_variance=self.noise_variance,
+                ).fit(x_train, y_train)
+            # acquisition: candidate pool, GP posterior on it, EI argmax
+            with _profile_phase("ottertune.ei"):
+                best_idx = int(np.argmin(y_train))
+                incumbent = x_train[best_idx]
+                candidates = self._candidates(incumbent, knob_order)
+                mean, std = gp.predict(candidates, return_std=True)
+                ei = expected_improvement(
+                    mean, std, float(y_train[best_idx])
+                )
+                action = candidates[int(np.argmax(ei))]
             recommendation_s = time.perf_counter() - t0
 
             outcome = env.step(action)

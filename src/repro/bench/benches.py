@@ -233,6 +233,23 @@ def _bench_rdper_sample_batch():
     return run
 
 
+@bench("ottertune.rank_knobs", kind="micro", items=5,
+       description="OtterTune Lasso-path knob ranking on 80 x 32 samples")
+def _bench_ottertune_rank_knobs():
+    from repro.baselines.ottertune.lasso import rank_knobs
+
+    env = _make_env()
+    rng = np.random.default_rng(_SEED)
+    actions = env.space.sample_vectors(rng, 80)
+    durations = np.array([o.duration_s for o in env.step_batch(actions)])
+
+    def run() -> None:
+        for _ in range(5):
+            rank_knobs(actions, durations)
+
+    return run
+
+
 @bench("cache.roundtrip", kind="micro", items=50,
        description="ResultCache store + load of one pickled session")
 def _bench_cache_roundtrip():

@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Four golden artifacts live here:
+Five golden artifacts live here:
 
 * ``sim_defaults.json`` — the *noise-free* default-configuration
   execution time of every paper workload at dataset D1 on both
@@ -23,6 +23,12 @@ Four golden artifacts live here:
   parameters (online and target), both Adam moments of every
   optimizer, and each optimizer's step count.  Pins the TD3 update,
   the optimizer and the Polyak averaging byte for byte.
+* ``ottertune_trace.json`` — OtterTune on the four quick-grid pairs at
+  seed 0: a SHA-256 of each repository workload's (X, M, y) after
+  ``train_ottertune``, then each online step's Lasso knob order,
+  action, decoded configuration and duration.  Pins offline
+  collection, the Lasso path ranking, the GP + EI recommendation and
+  workload mapping together.
 
 ``td3_parent_format.pkl`` and its ``.json`` companion are not written
 here: they are a TD3 agent pickled by the release before flat parameter
@@ -49,6 +55,7 @@ GOLDEN_PATH = Path(__file__).parent / "sim_defaults.json"
 POPULATION_TRACE_PATH = Path(__file__).parent / "population_trace.json"
 CDBTUNE_TRACE_PATH = Path(__file__).parent / "cdbtune_trace.json"
 DEEPCAT_TRACE_PATH = Path(__file__).parent / "deepcat_trace.json"
+OTTERTUNE_TRACE_PATH = Path(__file__).parent / "ottertune_trace.json"
 
 WORKLOADS = ("WC", "TS", "PR", "KM")
 CLUSTERS = ("cluster-a", "cluster-b")
@@ -63,6 +70,8 @@ CDBTUNE_ITERATIONS = 200
 
 DEEPCAT_SEED = 5
 DEEPCAT_ITERATIONS = 200
+
+OTTERTUNE_SEED = 0
 
 
 def compute() -> dict[str, float]:
@@ -168,6 +177,68 @@ def compute_deepcat_trace() -> dict:
     }
 
 
+def compute_ottertune_trace() -> dict:
+    """OtterTune's quick-grid cells at seed 0, step by step.
+
+    Each pair trains (or fetches) its repository with
+    ``train_ottertune``, digests every workload's stacked arrays, then
+    runs a 5-step session from a fork on the pair's online environment,
+    exactly as the comparison grid does.  The knob orders are captured
+    by wrapping the tuner module's ``rank_knobs`` for the session.
+    """
+    import hashlib
+
+    from repro.baselines.ottertune import tuner as ottertune_module
+    from repro.experiments.common import (
+        fork_tuner,
+        get_scale,
+        online_env,
+        train_ottertune,
+    )
+    from repro.experiments.sessions import QUICK_PAIRS
+
+    rank_knobs = ottertune_module.rank_knobs
+    sc = get_scale("quick")
+    out: dict[str, dict] = {}
+    for workload, dataset in QUICK_PAIRS:
+        base = train_ottertune(workload, dataset, OTTERTUNE_SEED, sc)
+        repository = {}
+        for wid in base.repository.workloads():
+            digest = hashlib.sha256()
+            for arr in base.repository.get(wid).arrays():
+                digest.update(arr.tobytes())
+            repository[wid] = digest.hexdigest()
+
+        orders: list[list[int]] = []
+
+        def recording_rank_knobs(x, y):
+            order = rank_knobs(x, y)
+            orders.append([int(j) for j in order])
+            return order
+
+        ottertune_module.rank_knobs = recording_rank_knobs
+        try:
+            session = fork_tuner(base).tune_online(
+                online_env(workload, dataset, OTTERTUNE_SEED),
+                steps=sc.online_steps,
+            )
+        finally:
+            ottertune_module.rank_knobs = rank_knobs
+        out[f"{workload}-{dataset}"] = {
+            "repository_sha256": repository,
+            "steps": [
+                {
+                    "knob_order": order,
+                    "action": [float(v) for v in s.action],
+                    "config": s.config,
+                    "duration_s": s.duration_s,
+                }
+                for order, s in zip(orders, session.steps)
+            ],
+        }
+    return out
+
+
 def main() -> None:
     values = compute()
     GOLDEN_PATH.write_text(json.dumps(values, indent=2, sort_keys=True)
@@ -200,6 +271,15 @@ def main() -> None:
     print(f"wrote {DEEPCAT_TRACE_PATH}: "
           f"{len(deepcat['critic_losses'])} critic losses, "
           f"state {deepcat['state_sha256'][:16]}")
+
+    ottertune = compute_ottertune_trace()
+    OTTERTUNE_TRACE_PATH.write_text(
+        json.dumps(ottertune, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {OTTERTUNE_TRACE_PATH}:")
+    for pair, trace in ottertune.items():
+        line = ", ".join(f"{s['duration_s']:.1f}s" for s in trace["steps"])
+        print(f"  {pair}: {line}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.ottertune import lasso as lasso_module
 from repro.baselines.ottertune.ei import expected_improvement
 from repro.baselines.ottertune.gp import GaussianProcessRegressor, rbf_kernel
 from repro.baselines.ottertune.lasso import (
@@ -12,6 +14,8 @@ from repro.baselines.ottertune.lasso import (
 from repro.baselines.ottertune.mapping import WorkloadRepository
 from repro.baselines.ottertune.tuner import OtterTune
 from repro.factory import make_env
+from repro.sim.faults import FAILURE_PERF_FACTOR
+from repro.telemetry import profiling
 
 
 class TestRbfKernel:
@@ -143,6 +147,202 @@ class TestLasso:
         assert sorted(order) == list(range(4))
 
 
+# ------------------------------------------- exactness of the fast Lasso
+
+
+def _reference_lasso(x, y, alpha, max_iter=500, tol=1e-6):
+    """The array-form coordinate descent the fast solver must reproduce."""
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, d = x.shape
+    if y.shape[0] != n:
+        raise ValueError("x and y must align")
+    w = np.zeros(d)
+    # Precompute column norms; residual maintained incrementally.
+    col_sq = (x**2).sum(axis=0) / n
+    residual = y.copy()
+    for _ in range(max_iter):
+        max_delta = 0.0
+        for j in range(d):
+            if col_sq[j] <= 1e-15:
+                continue
+            w_j_old = w[j]
+            rho = (x[:, j] @ residual) / n + col_sq[j] * w_j_old
+            # Soft thresholding.
+            w_new = np.sign(rho) * max(abs(rho) - alpha, 0.0) / col_sq[j]
+            if w_new != w_j_old:
+                residual += x[:, j] * (w_j_old - w_new)
+                w[j] = w_new
+                max_delta = max(max_delta, abs(w_new - w_j_old))
+        if max_delta < tol:
+            break
+    return w
+
+
+def _reference_rank_knobs(x, y, n_alphas=20):
+    """``rank_knobs`` over the whole alpha path, with the reference solver."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, d = x.shape
+    mu, sd = x.mean(axis=0), x.std(axis=0)
+    sd = np.where(sd > 1e-12, sd, 1.0)
+    xs = (x - mu) / sd
+    yc = y - y.mean()
+
+    alpha_max = float(np.abs(xs.T @ yc).max() / n)
+    if alpha_max <= 0:
+        return list(range(d))
+    alphas = np.geomspace(alpha_max, alpha_max * 1e-3, n_alphas)
+
+    entry_alpha = np.full(d, -1.0)
+    entry_coef = np.zeros(d)
+    for a in alphas:
+        w = _reference_lasso(xs, yc, a)
+        newly = (np.abs(w) > 1e-10) & (entry_alpha < 0)
+        entry_alpha[newly] = a
+        entry_coef[newly] = np.abs(w[newly])
+
+    corr = np.abs(xs.T @ yc) / n
+    order = sorted(
+        range(d),
+        key=lambda j: (
+            -entry_alpha[j] if entry_alpha[j] > 0 else 0.0,
+            -entry_coef[j],
+            -corr[j],
+        ),
+    )
+    entered = [j for j in order if entry_alpha[j] > 0]
+    never = [j for j in order if entry_alpha[j] <= 0]
+    never.sort(key=lambda j: -corr[j])
+    return entered + never
+
+
+def _standardize(x, y):
+    sd = x.std(axis=0)
+    return (x - x.mean(axis=0)) / np.where(sd > 1e-12, sd, 1.0), y - y.mean()
+
+
+@st.composite
+def _regression(draw, max_n=120, max_d=40):
+    """A seeded regression problem: mixed column scales, some constant
+    (zero-variance) columns, a sparse signal plus noise."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 30.0], size=d)
+    n_const = draw(st.integers(0, d))
+    const = rng.choice(d, size=n_const, replace=False)
+    x[:, const] = draw(st.sampled_from([0.0, 2.5]))
+    coef = rng.normal(size=d) * (rng.random(d) < 0.4)
+    y = x @ coef + rng.normal(scale=draw(st.sampled_from([0.0, 0.1, 5.0])),
+                              size=n)
+    return x, y
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class TestFastLassoExactness:
+    @given(
+        problem=_regression(),
+        standardized=st.booleans(),
+        alpha_kind=st.sampled_from(["zero", "tiny", "path", "max", "above"]),
+        frac=st.floats(1e-3, 1.0),
+        max_iter=st.sampled_from([1, 2, 500]),
+    )
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.determinism
+    def test_fast_solver_equals_reference_bytes(
+        self, problem, standardized, alpha_kind, frac, max_iter
+    ):
+        x, y = problem
+        x, y = _standardize(x, y) if standardized else (x, y - y.mean())
+        alpha_max = float(np.abs(x.T @ y).max() / x.shape[0])
+        alpha = {
+            "zero": 0.0,
+            "tiny": 1e-12,
+            "path": alpha_max * frac,
+            "max": alpha_max,
+            "above": alpha_max * 2.0 + 1.0,
+        }[alpha_kind]
+        fast = lasso_coordinate_descent(x, y, alpha, max_iter=max_iter)
+        ref = _reference_lasso(x, y, alpha, max_iter=max_iter)
+        assert _same_bits(fast, ref)
+
+    def test_signed_zero_reproduced(self):
+        # Two nearly collinear columns: coefficients enter, then shrink
+        # back to exactly zero from the negative side, where the array
+        # form stores -0.0.  The fast solver must store the same zeros.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(6, 3))
+        x[:, 1] = x[:, 0] + 1e-3 * rng.normal(size=6)
+        y = rng.normal(size=6)
+        ref = _reference_lasso(x, y - y.mean(), 0.05)
+        assert np.signbit(ref[0]) and ref[0] == 0.0
+        assert _same_bits(lasso_coordinate_descent(x, y - y.mean(), 0.05),
+                          ref)
+
+    @given(problem=_regression(max_n=40, max_d=12), where=st.floats(0, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_nan_in_target_propagates_like_reference(self, problem, where):
+        x, y = problem
+        y = y - y.mean()
+        y[int(where * (len(y) - 1))] = np.nan
+        fast = lasso_coordinate_descent(x, y, 0.01)
+        ref = _reference_lasso(x, y, 0.01)
+        nan = np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(fast), nan)
+        assert _same_bits(fast[~nan], ref[~nan])
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            lasso_coordinate_descent(np.zeros((0, 3)), np.zeros(0), 0.1)
+
+    @given(problem=_regression(max_n=80, max_d=24),
+           n_alphas=st.sampled_from([3, 20]))
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.determinism
+    def test_rank_knobs_equals_full_path(self, problem, n_alphas):
+        x, y = problem
+        assert rank_knobs(x, y, n_alphas) == _reference_rank_knobs(
+            x, y, n_alphas
+        )
+
+    def test_path_ends_once_every_feature_entered(self, monkeypatch):
+        solves = []
+        real = lasso_module.lasso_coordinate_descent
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lasso_module, "lasso_coordinate_descent", counting)
+        for seed in range(5):
+            # Dense signals: every knob enters before the path's end, and
+            # the last few enter in an order their correlations do not
+            # give, so ending too early would reorder them.
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(0, 1, (40, 6))
+            y = x @ rng.normal(size=6) + 0.1 * rng.normal(size=40)
+            solves.clear()
+            assert rank_knobs(x, y) == _reference_rank_knobs(x, y)
+            assert 0 < len(solves) < 20
+
+    def test_rank_knobs_with_features_that_never_enter(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, (50, 8))
+        x[:, [2, 5]] = 1.0  # constant: never enter the path
+        y = 3.0 * x[:, 0] - x[:, 7] + 0.01 * rng.normal(size=50)
+        order = rank_knobs(x, y)
+        assert order == _reference_rank_knobs(x, y)
+        assert set(order[-2:]) == {2, 5}
+
+
 class TestWorkloadRepository:
     def test_observe_and_get(self):
         repo = WorkloadRepository()
@@ -228,3 +428,55 @@ class TestOtterTuneTuner:
         ot = OtterTune.from_env(env)
         with pytest.raises(ValueError):
             ot.collect_offline(env, "x", 0)
+
+    @pytest.mark.determinism
+    @pytest.mark.parametrize("fault_profile", [None, "flaky"])
+    def test_batched_collect_equals_per_sample_loop(self, fault_profile):
+        def per_sample(tuner, env, workload_id, samples):
+            for _ in range(samples):
+                action = env.space.sample_vector(tuner._rng)
+                outcome = env.step(action)
+                perf = (
+                    outcome.duration_s
+                    if outcome.success
+                    else FAILURE_PERF_FACTOR * env.default_duration
+                )
+                tuner.observe_offline(
+                    workload_id, outcome.action, outcome.next_state, perf
+                )
+
+        def snapshot(collect):
+            tuner = OtterTune(action_dim=32, seed=5)
+            envs = [
+                make_env(code, "D1", seed=11, fault_profile=fault_profile)
+                for code in ("TS", "KM")
+            ]
+            for env in envs:
+                collect(tuner, env, f"{env.runner.workload.code}-D1", 40)
+            return (
+                [(e.steps_taken, e.total_evaluation_seconds,
+                  e.observation.tobytes()) for e in envs],
+                [arr.tobytes() for wid in tuner.repository.workloads()
+                 for arr in tuner.repository.get(wid).arrays()],
+                tuner._rng.bit_generator.state,
+            )
+
+        assert snapshot(OtterTune.collect_offline) == snapshot(per_sample)
+
+    def test_recommendation_phases_cover_recommendation_time(self):
+        env = make_env("TS", "D1", seed=0)
+        ot = OtterTune.from_env(env, seed=0, n_candidates=200,
+                                max_train_points=80)
+        ot.collect_offline(env, "TS-D1", 60)
+        profiler = profiling.Profiler()
+        profiling.activate(profiler)
+        try:
+            session = ot.tune_online(make_env("TS", "D1", seed=9), steps=3)
+        finally:
+            profiling.deactivate()
+        stats = profiler.stats()
+        phases = ("ottertune.map", "ottertune.rank", "ottertune.gp",
+                  "ottertune.ei")
+        assert all(stats[p]["calls"] == 3 for p in phases)
+        covered = sum(stats[p]["total_s"] for p in phases)
+        assert covered >= 0.9 * session.recommendation_seconds

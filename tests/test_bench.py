@@ -59,6 +59,7 @@ class TestRegistry:
             "rdper.sample",
             "twinq.accept",
             "codec.roundtrip",
+            "ottertune.rank_knobs",
             "cache.roundtrip",
             "pipeline.offline_train",
             "pipeline.online_tune",
